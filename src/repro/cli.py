@@ -28,8 +28,7 @@ to skip trials already in the journal after a crash (``--resume``
 without ``--journal`` is rejected at argument-parse time), and
 ``--strict`` to exit nonzero when any trial failed (instead of silently
 aggregating the survivors).  ``--backend`` picks the execution backend
-(``local-serial``, ``local-process``, ``local-supervised``,
-``dir-queue``; see :mod:`repro.core.backend` and
+(``local-serial`` or ``dir-queue``; see :mod:`repro.core.backend` and
 :mod:`repro.core.distq`), with ``--lease-ttl`` and ``--max-retries``
 tuning lease duration and retry budget, and ``--queue-dir`` /
 ``--quarantine-after`` configuring the dir-queue's shared directory and
@@ -378,9 +377,9 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--backend",
         default=None,
-        help="execution backend: local-serial, local-process, "
-        "local-supervised, dir-queue, or auto (default; see "
-        "`repro components`)",
+        help="execution backend: local-serial, dir-queue, or auto "
+        "(default: local-serial for one worker, dir-queue on a private "
+        "temporary directory otherwise; see `repro components`)",
     )
     parser.add_argument(
         "--queue-dir",
@@ -406,8 +405,8 @@ def _add_parallel_arguments(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="SECONDS",
         dest="lease_ttl",
-        help="supervised backend: how long one worker owns one trial "
-        "before its lease must be extended or reclaimed (default 30)",
+        help="dir-queue backend: how long a worker's claim may go "
+        "without a heartbeat before the trial is reclaimed (default 30)",
     )
     parser.add_argument(
         "--max-retries",
@@ -883,7 +882,7 @@ def _cmd_components(args: argparse.Namespace) -> int:
 
 def _cmd_journal(args: argparse.Namespace) -> int:
     from repro.core.journal import (
-        compact_journal, inspect_journal, read_lease_state, read_quarantine,
+        compact_journal, inspect_journal, read_quarantine,
     )
 
     if args.journal_command == "inspect":
@@ -896,27 +895,13 @@ def _cmd_journal(args: argparse.Namespace) -> int:
         print(f"  trials ok       : {stats.trials_ok}")
         print(f"  trials failed   : {stats.trials_failed}")
         print(f"  distinct done   : {stats.distinct_completed}")
-        print(f"  leases          : {stats.leases} "
-              f"(live {stats.live_leases}, expired {stats.expired_leases})")
-        print(f"  heartbeats      : {stats.heartbeats}")
-        print(f"  events          : {stats.events}")
+        if stats.legacy:
+            print(f"  legacy          : {stats.legacy} "
+                  "(lease/heartbeat/event records of earlier versions)")
         print(f"  quarantined     : {stats.quarantined}")
         print(f"  superseded      : {stats.superseded}")
         torn = "yes (tolerated on resume)" if stats.torn_tail else "no"
         print(f"torn tail         : {torn}")
-        leases = read_lease_state(args.path)
-        if leases:
-            print("open leases:")
-            for key_id, lease in sorted(leases.items()):
-                parts = [f"owner {lease.owner}", f"attempt {lease.attempt}"]
-                if lease.host is not None:
-                    parts.append(f"host {lease.host}")
-                if lease.pid is not None:
-                    parts.append(f"pid {lease.pid}")
-                if lease.token is not None:
-                    parts.append(f"fencing token {lease.token}")
-                state = "expired" if lease.expired() else "live"
-                print(f"  {key_id}: {', '.join(parts)} ({state})")
         quarantined = read_quarantine(args.path)
         if quarantined:
             print("quarantined trials (remove the quarantine record or "

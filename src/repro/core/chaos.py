@@ -26,13 +26,13 @@ import os
 import pickle
 import signal
 import time
-from typing import Any, Callable, Dict, Iterable, Optional, Tuple
+from typing import Any, Callable, Iterable, Optional
 
 #: Sabotage modes, in the order chaos checks them.  ``mute`` (heartbeat
-#: suppression) only differs from ``hang`` under the supervised backend,
-#: which additionally disables the worker's heartbeat thread for muted
-#: attempts — the monitor must then classify the worker as *hung* (no
-#: heartbeats) rather than merely *slow* (heartbeats but no result).
+#: suppression) differs from ``hang`` in that the dir-queue worker also
+#: stops heartbeating for muted attempts — the scheduler must then
+#: classify the worker as *hung* (no heartbeats) rather than merely
+#: *slow* (heartbeats but no result).
 MODES = ("sigkill", "hang", "corrupt", "mute")
 
 
@@ -62,8 +62,8 @@ def sabotage(fn: Callable[..., Any], args, kwargs, mode: str) -> Any:
         # result, exactly like an OOM kill or segfault.
         os.kill(os.getpid(), signal.SIGKILL)
     elif mode in ("hang", "mute"):
-        # Never return: the parent's supervision (timeout, lease cap, or
-        # missed-heartbeat detection for "mute") must terminate us.
+        # Never return: the trial timeout, or missed-heartbeat detection
+        # for "mute", must end us.
         while True:  # pragma: no cover - killed from outside
             time.sleep(3600.0)
     elif mode == "corrupt":
@@ -82,16 +82,16 @@ class ChaosMonkey:
         corrupt_on: indices whose first attempt returns a payload that
             raises while unpickling in the parent.
         kill_all_attempts_on: indices whose *every* attempt is SIGKILLed
-            — the trial ends as a journalled failure.
+            — the trial ends as a journalled failure once its attempts
+            are spent (or quarantined, if ``quarantine_after`` distinct
+            workers die first).
         mute_on: indices whose first attempt goes silent after computing
-            — under the supervised backend its heartbeats are suppressed
-            too, so the monitor must SIGKILL it as *hung* and reclaim
-            the lease (elsewhere it behaves like ``hang_on``).
-        contend_on: indices whose trial starts under a short-lived lease
-            held by a foreign owner ("chaos-ghost").  This is
-            parent-side sabotage consumed only by the supervised
-            backend: it must wait the lease out, reclaim it with the
-            next attempt number, and still produce the identical
+            — its heartbeats are suppressed too, so the scheduler must
+            SIGKILL the worker as *hung* and reclaim the trial.
+        contend_on: indices whose trial starts under a claim held by a
+            foreign owner that never heartbeats (a "ghost").  The
+            workers must wait the lease TTL out, reclaim the trial with
+            a higher fencing token, and still produce the identical
             result exactly once.
 
     Indices refer to positions in the spec sequence handed to
@@ -133,9 +133,3 @@ class ChaosMonkey:
     def contends_for(self, index: int) -> bool:
         """Whether this trial starts under a foreign (ghost) lease."""
         return index in self.contend_on
-
-    def wrap(
-        self, fn: Callable[..., Any], args, kwargs, mode: str
-    ) -> Tuple[Callable[..., Any], Tuple[Any, ...], Dict[str, Any]]:
-        """The ``(fn, args, kwargs)`` triple that runs ``fn`` sabotaged."""
-        return sabotage, (fn, args, kwargs, mode), {}

@@ -112,23 +112,19 @@ class Scenario:
         kernels: kernel backend, a registered ``kernels`` component:
             ``"auto"`` (the default — best backend available on this
             machine), ``"python"`` (explicit-loop reference),
-            ``"vector"`` (numpy), ``"numba"`` or ``"cjit"`` (compiled;
-            these warn once and fall back when their toolchain is
-            absent).  Every backend computes bit-identical results —
+            ``"vector"`` (numpy) or ``"cjit"`` (compiled C; warns once
+            and falls back to ``vector`` without a C compiler).  Every backend computes bit-identical results —
             the choice affects wall clock only, never the trajectory.
         backend: campaign execution backend, a registered ``backend``
             component: ``"auto"`` (the default — serial for one worker,
-            the process pool otherwise), ``"local-serial"``,
-            ``"local-process"``, ``"local-supervised"`` (the
-            lease/heartbeat-supervised pool) or ``"dir-queue"`` (the
-            shared-directory job queue — multiple hosts mounting one
-            directory drain the same campaign; see
-            :mod:`repro.core.distq`).  Every backend produces
-            bit-identical campaign results; the choice affects failure
-            handling only.
-        lease_ttl_s: supervised and dir-queue backends — how long one
-            worker owns one trial before the monitor must extend (slow)
-            or reclaim (hung/dead) the lease.
+            the dir-queue on a private temporary directory otherwise),
+            ``"local-serial"`` or ``"dir-queue"`` (the file-based job
+            queue — multiple hosts mounting one directory drain the
+            same campaign; see :mod:`repro.core.distq`).  Every backend
+            produces bit-identical campaign results; the choice affects
+            failure handling only.
+        lease_ttl_s: dir-queue backend — how long a worker's claim may
+            go without a heartbeat before a peer reclaims the trial.
         queue_dir: dir-queue backend only — the shared directory holding
             the job queue.  ``None`` (the default) uses an ephemeral
             per-run directory, which still exercises the full claim/

@@ -1,13 +1,11 @@
-"""Shared-directory job queue: multi-host campaign execution over files.
+"""Shared-directory job queue: multi-process and multi-host campaign execution.
 
-The supervised backend (PR 8) bounded every single-host failure mode —
-crashes, hangs, silent workers — but the paper's evaluation campaigns
-(protocol x density x channel grids, 20 seeded trials per point) want
-*several* machines chewing one durable trial queue.  The only
-coordination substrate such machines reliably share is a filesystem
-(NFS, a synced scratch dir, or plain ``/tmp`` for same-host workers), so
-this module builds the whole distributed contract out of two filesystem
-primitives that are atomic everywhere that matters:
+The paper's evaluation campaigns (protocol x density x channel grids, 20
+seeded trials per point) are embarrassingly parallel, and the only
+coordination substrate several processes — or several machines — reliably
+share is a filesystem (NFS, a synced scratch dir, or plain ``/tmp`` for
+same-host workers).  This module builds the whole execution contract out
+of two filesystem primitives that are atomic everywhere that matters:
 
 * ``O_CREAT | O_EXCL`` — at most one creator wins, ever;
 * ``rename`` within a directory — a file appears complete or not at all.
@@ -33,19 +31,25 @@ reclaim dead ones (slow clock).  :class:`LeaseObserver` never reads a
 remote timestamp for the decision: it watches the claim's *signature*
 (owner, token, heartbeat sequence number) and declares the lease expired
 only after the signature has stayed frozen for a full TTL of **local
-monotonic** time.  Wall-clock fields in claim files are advisory, for
-``repro journal inspect`` humans only.
+monotonic** time.  Wall-clock fields in claim files are advisory only.
+
+**Attempts, timeouts and retries.**  Every failed attempt leaves one
+failure record (``crash/<id>.a<N>.json``) and moves the claim on to
+attempt ``N + 1``: a clean Python exception or an attempt that outlives
+``trial_timeout_s`` (recorded by the worker, which then exits — a trial
+thread cannot be interrupted), a worker that died holding the trial
+(recorded by whoever reclaims it), or a result that cannot be read back
+(recorded by the scheduler).  A claim whose attempt number exceeds
+``max_attempts`` is settled as a terminal failure carrying the last
+attempt's error, instead of being run again.
 
 **Poison-trial quarantine.**  A trial whose very execution kills its
-worker (OOM, segfault in a native kernel, a chaos SIGKILL) would
-otherwise be reclaimed and re-run forever, taking a worker down each
-time and starving the queue.  Each reclaim-from-death records the dead
+worker (OOM, segfault in a native kernel, a chaos SIGKILL) takes a
+worker down each time it runs.  Each reclaim-from-death records the dead
 owner; once ``quarantine_after`` *distinct* workers have died holding
 the same trial, the winner of the next takeover parks the trial in
-``quarantine/`` (with whatever traceback any attempt managed to leave)
-instead of running it.  Clean Python exceptions are not deaths: they
-release the claim with the attempt counter bumped and are bounded by
-``max_attempts`` like everywhere else.
+``quarantine/`` (with the last failure it recorded) instead of running
+it.
 
 Layout of a queue directory::
 
@@ -56,19 +60,18 @@ Layout of a queue directory::
       gen/<id>.g<N>        O_EXCL fencing-token allocation markers
       hb/<id>              heartbeat file: owner, token, seq (atomic rename)
       deaths/<id>.<h>      one marker per distinct owner that died holding <id>
-      crash/<id>.g<N>.tb   captured tracebacks per failed generation
+      crash/<id>.a<N>.json failure record of attempt N (status, error, wall)
       stale/<id>.g<N>      rejected stale commits (evidence, not state)
       results/<id>.result  pickled fenced result (atomic rename commit)
       quarantine/<id>.json parked poison trials
 
 Workers (:func:`run_worker_loop`, the ``repro worker`` CLI) need nothing
-but this directory; the scheduling side
-(:class:`DirQueueBackend`, registered as ``backend="dir-queue"``) is one
-more peer that also spawns local workers, mirrors observed claims into
-the campaign journal as lease records, journals each result exactly
-once, and degrades down the PR 8 ladder (``dir-queue →
-local-supervised → local-process → local-serial``) when the shared
-directory goes read-only, stat latency spikes, or workers die faster
+but this directory; the scheduling side (:class:`DirQueueBackend`,
+registered as ``backend="dir-queue"`` and the ``auto`` choice for more
+than one worker) is one more peer that also spawns local workers,
+reclaims the trials of local workers it sees die or go silent, journals
+each result exactly once, and degrades straight to ``local-serial`` when
+the directory goes read-only, stat latency spikes, or workers die faster
 than the respawn budget.
 
 Like every backend, ``dir-queue`` must be bit-identical to
@@ -79,11 +82,13 @@ change the values.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import hashlib
 import json
 import os
 import pickle
+import shutil
 import signal
 import socket
 import tempfile
@@ -93,8 +98,8 @@ import traceback
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core import chaos as _chaos
-from repro.core.backend import ExecutionBackend, SupervisedBackend
-from repro.core.journal import TrialJournal, trial_key_id
+from repro.core.backend import ExecutionBackend
+from repro.core.journal import trial_key_id
 from repro.core.registry import register
 from repro.core.runner import TrialOutcome, TrialRunner, TrialSpec
 from repro.util.errors import ConfigError, StaleLeaseError, TrialError
@@ -116,6 +121,16 @@ RESPAWN_BUDGET_PER_WORKER = 3
 #: queue root (each slower than the latency budget) that trip a degrade.
 STAT_LATENCY_BUDGET_S = 0.5
 STAT_LATENCY_STRIKES = 3
+
+#: Exit status of a worker that ended itself because its trial outlived
+#: ``trial_timeout_s`` (after recording the timed-out attempt).  The
+#: scheduler respawns such a worker without charging the respawn budget:
+#: the trial hung, not the infrastructure.
+TIMEOUT_EXIT_CODE = 75
+
+#: Heartbeat periods a local worker may stay silent on a live claim
+#: before the scheduler kills it as hung (plus a little scheduling slack).
+HUNG_AFTER_BEATS = 3.0
 
 
 # -- durability + clock hooks -------------------------------------------------
@@ -429,6 +444,14 @@ class DirQueue:
             gen += 1
         return gen
 
+    def _write_claim(
+        self, tid: str, owner: str, token: int, attempt: int, released: bool
+    ) -> None:
+        _atomic_write(
+            self._path("claims", f"{tid}.claim"),
+            self._claim_payload(owner, token, attempt, released),
+        )
+
     def try_takeover(
         self,
         tid: str,
@@ -439,13 +462,15 @@ class DirQueue:
     ) -> Optional[ClaimState]:
         """Race for the next generation; the winner rewrites the claim.
 
-        ``dead_owner`` marks a takeover *from a corpse* (expired lease):
-        the dead identity is added to the trial's death ledger and, once
-        the ledger holds ``quarantine_after`` distinct identities, the
-        winner quarantines the trial instead of re-running it (returns
-        ``None`` after parking — there is nothing to run).  A takeover of
-        a *released* claim (clean failure, attempt already bumped) leaves
-        the ledger alone.
+        ``dead_owner`` marks a takeover *from a corpse* (expired lease, or
+        a worker the scheduler saw die): the winner records the dead
+        attempt as a failure, adds the dead identity to the trial's death
+        ledger and moves the claim on to the next attempt — or, once the
+        ledger holds ``quarantine_after`` distinct identities,
+        quarantines the trial instead of re-running it (returns ``None``
+        after parking — there is nothing to run).  A takeover of a
+        *released* claim (the attempt was already recorded and bumped)
+        leaves the ledger and the attempt alone.
 
         The contested generation is ``current.token + 1`` — except with
         ``skip_orphans``, which arbitrates past any *orphaned* markers: a
@@ -468,18 +493,25 @@ class DirQueue:
         marker = self._path("gen", f"{tid}.g{token}")
         try:
             fd = os.open(marker, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return None
         except OSError:
-            return None
+            return None  # lost the race (FileExistsError), or read-only
         try:
             os.write(fd, owner.encode("utf-8"))
             _fsync_file(fd)
         finally:
             os.close(fd)
+        attempt = max(1, current.attempt)
         if dead_owner is not None:
+            if not os.path.exists(self._failure_path(tid, attempt)):
+                self.record_failure(
+                    tid, attempt, "error",
+                    f"worker {dead_owner} died holding the trial (no "
+                    "traceback: SIGKILL/OOM/segfault)",
+                    infrastructure=True,
+                )
             self.record_death(tid, dead_owner)
-            if len(self.distinct_deaths(tid)) >= self.quarantine_after:
+            deaths = self.distinct_deaths(tid)
+            if len(deaths) >= self.quarantine_after:
                 task = self.read_task(tid)
                 key_id = (
                     trial_key_id(task["key"]) if task is not None else tid
@@ -487,28 +519,74 @@ class DirQueue:
                 self.write_quarantine(
                     tid,
                     key_id=key_id,
-                    owners=self.distinct_deaths(tid),
-                    attempts=max(1, current.attempt),
+                    owners=deaths,
+                    attempts=attempt,
                     traceback_text=self.last_traceback(tid),
                 )
                 return None
-        attempt = max(1, current.attempt)
-        _atomic_write(
-            self._path("claims", f"{tid}.claim"),
-            self._claim_payload(owner, token, attempt, False),
-        )
+            attempt += 1
+        self._write_claim(tid, owner, token, attempt, False)
         return self.read_claim(tid)
 
-    def release(self, tid: str, claim: ClaimState, error: str) -> None:
-        """Clean-failure release: same token, attempt bumped, no owner.
+    def release(
+        self,
+        tid: str,
+        claim: ClaimState,
+        error: str,
+        status: str = "error",
+        wall_clock_s: float = 0.0,
+        infrastructure: bool = False,
+    ) -> None:
+        """Fail the held attempt: record it, keep the token, bump the attempt.
 
-        The traceback is preserved per generation so a later quarantine
-        (or a human) can see what the attempts actually raised.
+        Fenced like a commit: records nothing when the claim no longer
+        names ``claim.owner`` with ``claim.token`` — a reclaimer already
+        owns the trial and its attempt accounting.
         """
-        self.write_traceback(tid, claim.token, error)
-        _atomic_write(
-            self._path("claims", f"{tid}.claim"),
-            self._claim_payload("", claim.token, claim.attempt + 1, True),
+        current = self.read_claim(tid)
+        if (
+            current is None
+            or current.owner != claim.owner
+            or current.token != claim.token
+        ):
+            return
+        self.record_failure(
+            tid, claim.attempt, status, error, wall_clock_s, infrastructure
+        )
+        self._write_claim(tid, "", claim.token, claim.attempt + 1, True)
+
+    def reap(self, tid: str, claim: ClaimState, reaper: str) -> bool:
+        """Free the claim of an owner known to be dead, without a TTL wait.
+
+        The scheduler calls this for local workers it saw exit: the
+        takeover records the death (and may quarantine), then the claim
+        is left released so any worker picks the next attempt up at once.
+        No orphan skipping — a peer mid-takeover wins, and handles it.
+        Returns whether this call freed (or parked) the trial.
+        """
+        won = self.try_takeover(tid, reaper, claim, dead_owner=claim.owner)
+        if won is None or won is CLAIM_IN_FLUX:
+            return self.has_quarantine(tid)
+        self._write_claim(tid, "", won.token, won.attempt, True)
+        return True
+
+    def settle_exhausted(self, tid: str, owner: str, claim: ClaimState) -> None:
+        """Commit the terminal failure of a trial whose attempts are spent.
+
+        The result carries the last failed attempt's status and error, so
+        a trial that timed out on its final attempt ends ``timed_out``.
+        """
+        failures = self.failures(tid)
+        last = failures[-1] if failures else {}
+        self.commit_result(
+            tid, owner, claim.token,
+            {
+                "status": last.get("status", "error"),
+                "error": last.get("error", "attempts exhausted"),
+                "attempts": claim.attempt - 1,
+                "wall_clock_s": float(last.get("wall_clock_s", 0.0)),
+                "infrastructure": bool(last.get("infrastructure", False)),
+            },
         )
 
     def heartbeat(self, tid: str, owner: str, token: int, seq: int) -> None:
@@ -546,7 +624,70 @@ class DirQueue:
             self.highest_gen(tid, claim.token),
         )
 
-    # -- death ledger + quarantine -------------------------------------------
+    # -- failure records, death ledger, quarantine ----------------------------
+
+    def _failure_path(self, tid: str, attempt: int) -> str:
+        return self._path("crash", f"{tid}.a{int(attempt)}.json")
+
+    def record_failure(
+        self,
+        tid: str,
+        attempt: int,
+        status: str,
+        error: str,
+        wall_clock_s: float = 0.0,
+        infrastructure: bool = False,
+    ) -> None:
+        """Record why attempt ``attempt`` of ``tid`` failed."""
+        _atomic_write(
+            self._failure_path(tid, attempt),
+            json.dumps(
+                {
+                    "attempt": int(attempt),
+                    "status": str(status),
+                    "error": str(error)[:8000],
+                    "wall_clock_s": float(wall_clock_s),
+                    "infrastructure": bool(infrastructure),
+                },
+                sort_keys=True,
+            ).encode("utf-8"),
+            fsync=False,
+        )
+
+    def failure_names(self) -> List[str]:
+        """Every failure-record file name, for the scheduler's telemetry."""
+        try:
+            names = os.listdir(self._dir("crash"))
+        except OSError:
+            return []
+        return [
+            name for name in names
+            if name.endswith(".json") and not name.startswith(".")
+        ]
+
+    def read_failure(self, name: str) -> Optional[Dict[str, Any]]:
+        return self._read_json(self._path("crash", name))
+
+    def failures(self, tid: str) -> List[Dict[str, Any]]:
+        """The failure records of ``tid``, in attempt order."""
+        records = [
+            self.read_failure(name)
+            for name in self.failure_names()
+            if name.startswith(f"{tid}.a")
+        ]
+        return sorted(
+            (record for record in records if record is not None),
+            key=lambda record: int(record.get("attempt", 0)),
+        )
+
+    def last_traceback(self, tid: str) -> str:
+        failures = self.failures(tid)
+        if failures:
+            return str(failures[-1].get("error", ""))
+        return (
+            "no traceback captured: worker died without reporting "
+            "(SIGKILL/OOM/segfault)"
+        )
 
     @staticmethod
     def _owner_digest(owner: str) -> str:
@@ -574,33 +715,6 @@ class DirQueue:
             except OSError:
                 continue
         return owners
-
-    def write_traceback(self, tid: str, token: int, text: str) -> None:
-        _atomic_write(
-            self._path("crash", f"{tid}.g{token}.tb"),
-            str(text)[:8000].encode("utf-8"),
-            fsync=False,
-        )
-
-    def last_traceback(self, tid: str) -> str:
-        try:
-            names = sorted(
-                name
-                for name in os.listdir(self._dir("crash"))
-                if name.startswith(f"{tid}.")
-            )
-        except OSError:
-            names = []
-        for name in reversed(names):
-            try:
-                with open(self._path("crash", name), "rb") as handle:
-                    return handle.read().decode("utf-8")
-            except OSError:
-                continue
-        return (
-            "no traceback captured: worker died without reporting "
-            "(SIGKILL/OOM/segfault)"
-        )
 
     def write_quarantine(
         self,
@@ -684,17 +798,18 @@ class DirQueue:
     def has_quarantine(self, tid: str) -> bool:
         return os.path.exists(self._path("quarantine", f"{tid}.json"))
 
-    def drop_result(self, tid: str) -> None:
+    def drop_result(self, tid: str, error: str) -> None:
         """Parent-side repair: discard an unreadable result file.
 
-        The committing worker moved on the moment it renamed the result
-        in, so its claim would otherwise sit with frozen heartbeats until
-        a peer reclaims it through the dead-owner path — charging a live,
-        healthy worker to the death ledger, and a few corrupt-result
-        cycles could spuriously quarantine the trial.  Marking the claim
-        released (same token, attempt preserved — the fault is the
-        infrastructure's, not the trial's) sends the reclaim down the
-        released path, which records no death.
+        The dropped result counts as a failed attempt (recorded with
+        ``error``, attempt bumped), so a result that never reads back
+        fails after ``max_attempts``.  The committing worker moved on the
+        moment it renamed the result in, so its claim would otherwise sit
+        with frozen heartbeats until a peer reclaims it through the
+        dead-owner path — charging a live, healthy worker to the death
+        ledger, and a few corrupt-result cycles could spuriously
+        quarantine the trial.  Marking the claim released sends the
+        re-run down the released path, which records no death.
         """
         try:
             os.unlink(self._path("results", f"{tid}.result"))
@@ -704,10 +819,10 @@ class DirQueue:
         if claim is None or claim is CLAIM_IN_FLUX or claim.released:
             return
         try:
-            _atomic_write(
-                self._path("claims", f"{tid}.claim"),
-                self._claim_payload("", claim.token, claim.attempt, True),
+            self.record_failure(
+                tid, claim.attempt, "error", error, infrastructure=True
             )
+            self._write_claim(tid, "", claim.token, claim.attempt + 1, True)
         except OSError:
             return  # read-only queue: the health probe reacts
 
@@ -737,19 +852,23 @@ def _run_claimed(
     heartbeat_interval_s: float,
     trial_timeout_s: Optional[float],
 ) -> None:
-    """Execute one claimed trial under heartbeats and the fence.
+    """Execute one claimed trial under heartbeats, the watchdog and the fence.
 
-    Chaos sabotage (from the task's embedded plan) applies to fencing
-    generation 1 only — reclaimed generations run clean, which is what
-    lets a sabotaged campaign converge to the serial truth — except
-    ``kill_all``, which sabotages every generation and drives the
-    quarantine path.  A trial that outlives ``trial_timeout_s`` is
-    handled by SIGKILLing *ourselves* from the heartbeat thread: the
-    lease then freezes, a peer reclaims, and the death ledger charges
-    this incarnation — a hang is indistinguishable from a crash to the
-    rest of the protocol, which is the simplest correct semantics when
-    the trial runs in our own process.
+    A claim whose attempts are already spent is settled as a terminal
+    failure without running.  Chaos sabotage (from the task's embedded
+    plan) applies to fencing generation 1 only — reclaimed generations
+    run clean, which is what lets a sabotaged campaign converge to the
+    serial truth — except ``kill_all``, which sabotages every generation.
+    A trial that outlives ``trial_timeout_s`` is recorded as a timed-out
+    attempt by the watchdog thread, which then ends this process with
+    :data:`TIMEOUT_EXIT_CODE`: the trial runs in our own main thread and
+    cannot be interrupted any other way.
     """
+    if claim.attempt > queue.max_attempts:
+        # A reclaimer that fenced us out meanwhile settles it instead.
+        with contextlib.suppress(StaleLeaseError):
+            queue.settle_exhausted(tid, me, claim)
+        return
     fn: Callable[..., Any] = task["fn"]
     args, kwargs = task.get("args", ()), task.get("kwargs", {})
     mode = task.get("chaos_mode")
@@ -765,47 +884,47 @@ def _run_claimed(
 
     stop = threading.Event()
     started = time.monotonic()
+    deadline = None if trial_timeout_s is None else started + trial_timeout_s
 
-    def beat() -> None:
+    def watch() -> None:
         seq = 0
-        while not stop.wait(heartbeat_interval_s):
-            if (
-                trial_timeout_s is not None
-                and time.monotonic() - started > trial_timeout_s
-            ):
-                # Hung trial: go silent and die so a peer reclaims us.
-                os.kill(os.getpid(), signal.SIGKILL)
+        while True:
+            wait = heartbeat_interval_s
+            if deadline is not None:
+                wait = min(wait, max(0.0, deadline - time.monotonic()))
+            if stop.wait(wait):
+                return
+            if deadline is not None and time.monotonic() >= deadline:
+                try:
+                    queue.release(
+                        tid, claim,
+                        f"trial exceeded trial_timeout_s={trial_timeout_s}",
+                        status="timeout",
+                        wall_clock_s=time.monotonic() - started,
+                        infrastructure=True,
+                    )
+                finally:
+                    os._exit(TIMEOUT_EXIT_CODE)
             if not heartbeats_enabled:
                 continue  # muted: keep only the watchdog half alive
             seq += 1
             try:
                 queue.heartbeat(tid, me, claim.token, seq)
             except OSError:
-                return  # queue unwritable; the claim will simply expire
+                continue  # queue unwritable; the claim will simply expire
 
-    if heartbeats_enabled or trial_timeout_s is not None:
-        threading.Thread(target=beat, daemon=True).start()
+    if heartbeats_enabled or deadline is not None:
+        threading.Thread(target=watch, daemon=True).start()
 
     try:
         value = fn(*args, **kwargs)
     except Exception as exc:
         stop.set()
-        error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}"
-        if claim.attempt >= queue.max_attempts:
-            try:
-                queue.commit_result(
-                    tid, me, claim.token,
-                    {
-                        "status": "error",
-                        "error": error,
-                        "attempts": claim.attempt,
-                        "wall_clock_s": time.monotonic() - started,
-                    },
-                )
-            except StaleLeaseError:
-                return  # someone reclaimed us mid-trial; their call now
-        else:
-            queue.release(tid, claim, error)
+        queue.release(
+            tid, claim,
+            f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}",
+            wall_clock_s=time.monotonic() - started,
+        )
         return
     stop.set()
     elapsed = time.monotonic() - started
@@ -821,6 +940,12 @@ def _run_claimed(
         )
     except StaleLeaseError:
         return  # fenced out: drop the value; the current holder commits
+    except (pickle.PicklingError, AttributeError, TypeError) as exc:
+        # The value cannot cross the process boundary at all.
+        queue.release(
+            tid, claim, f"result could not be returned: {exc!r}",
+            wall_clock_s=elapsed,
+        )
 
 
 def _discover_queues(root: str) -> List[str]:
@@ -859,7 +984,9 @@ def run_worker_loop(
     *committed* (results it actually landed; fenced-out and released
     attempts do not count).  Without ``follow`` the loop exits once every
     discovered queue is drained; with it, the loop keeps polling for new
-    queues forever (serve mode) — send SIGTERM/SIGINT to stop.
+    queues forever (serve mode) — send SIGTERM/SIGINT to stop.  A trial
+    that outlives the manifest's ``trial_timeout_s`` ends this process
+    with :data:`TIMEOUT_EXIT_CODE` once its timed-out attempt is recorded.
 
     ``max_trials`` is a test hook bounding how many commits this worker
     will make before returning.
@@ -960,7 +1087,7 @@ def _queue_worker_entry(root: str, epoch: int) -> None:
     """Multiprocessing target for backend-spawned local workers."""
     # The fork inherits the parent's signal handlers — under the CLI
     # those raise KeyboardInterrupt, which would splatter a traceback
-    # when the scheduler terminates drained workers.  A plain death is
+    # when Ctrl-C reaches the whole process group.  A plain death is
     # the contract here; the queue protocol already survives it.
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_DFL)
@@ -971,39 +1098,54 @@ def _queue_worker_entry(root: str, epoch: int) -> None:
 
 
 class DirQueueBackend(ExecutionBackend):
-    """The ``dir-queue`` execution backend: schedule through a shared dir.
+    """The ``dir-queue`` execution backend: schedule through a queue dir.
 
     The parent enqueues every dense spec as a task file, spawns
     ``max_workers`` local worker processes over the queue (any number of
-    foreign ``repro worker`` processes on other hosts may join the same
+    foreign ``repro worker`` processes on other hosts may join a shared
     directory), then *observes*: results and quarantine decisions are
-    folded into outcomes and journalled exactly once, observed claims
-    are mirrored into the journal as lease records carrying
-    host/pid/fencing-token, and a health probe degrades the whole
-    campaign one rung down the ladder (``local-supervised``) when the
-    directory stops cooperating — unwritable (read-only remount), stat
-    latency over budget, or workers dying faster than the respawn
-    budget covers.
+    folded into outcomes and journalled exactly once, failure records
+    become per-attempt telemetry, and the claims of local workers that
+    die or go silent (no heartbeat for :data:`HUNG_AFTER_BEATS` periods;
+    such a worker is SIGKILLed) are reclaimed at once instead of after a
+    lease TTL.  A health probe degrades the whole campaign to
+    ``local-serial`` when the directory stops cooperating — unwritable
+    (read-only remount), stat latency over budget, or workers dying
+    faster than the respawn budget covers.  Without ``queue_dir`` the
+    queue lives in a private temporary directory that is removed however
+    the run ends.
     """
 
     name = "dir-queue"
 
-    def run(self, specs, journal=None):  # noqa: C901 - one cohesive loop
-        runner = self.runner
+    def run(self, specs, journal=None):
         specs = list(specs)
         if not specs:
             return []
-        queue_dir = getattr(runner, "queue_dir", None)
-        ephemeral = queue_dir is None
-        if ephemeral:
-            queue_dir = tempfile.mkdtemp(prefix="repro-queue-")
-        quarantine_after = int(
-            getattr(runner, "quarantine_after", DEFAULT_QUARANTINE_AFTER)
-        )
+        ephemeral = self.runner.queue_dir is None
+        try:
+            root = (
+                tempfile.mkdtemp(prefix="repro-queue-")
+                if ephemeral
+                else self.runner.queue_dir
+            )
+        except OSError as exc:
+            return self._degrade(
+                specs, [None] * len(specs), journal,
+                reason=f"cannot create a queue dir: {exc}",
+            )
+        try:
+            return self._run_on(root, specs, journal)
+        finally:
+            if ephemeral:
+                shutil.rmtree(root, ignore_errors=True)
+
+    def _run_on(self, root, specs, journal):
+        runner = self.runner
         queue = DirQueue(
-            queue_dir,
+            root,
             ttl_s=runner.lease_ttl_s,
-            quarantine_after=quarantine_after,
+            quarantine_after=runner.quarantine_after,
             max_attempts=runner.max_attempts,
         )
         heartbeat_s = (
@@ -1026,7 +1168,7 @@ class DirQueueBackend(ExecutionBackend):
                     "fingerprint": manifest_fingerprint,
                     "trials": len(specs),
                     "ttl_s": runner.lease_ttl_s,
-                    "quarantine_after": quarantine_after,
+                    "quarantine_after": runner.quarantine_after,
                     "max_attempts": runner.max_attempts,
                     "heartbeat_s": heartbeat_s,
                     "trial_timeout_s": runner.trial_timeout_s,
@@ -1042,11 +1184,16 @@ class DirQueueBackend(ExecutionBackend):
             for index, spec in enumerate(specs):
                 tid = queue.enqueue(_task_payload(runner, index, spec))
                 index_of.setdefault(tid, []).append(index)
-            self._plant_ghost_claims(queue, specs, journal)
+            self._plant_ghost_claims(queue, specs)
+            # Workers beat at the manifest's period; on a resumed queue
+            # that is the first run's, so watch for silence at that pace.
+            heartbeat_s = float(
+                (queue.manifest() or {}).get("heartbeat_s", heartbeat_s)
+            )
         except (OSError, pickle.PicklingError, AttributeError, TypeError) as exc:
             # OSError: unusable directory.  The pickle family: specs that
-            # cannot cross a file boundary (closures, lambdas) — exactly
-            # what the supervised pool's fork context still handles.
+            # cannot cross a file boundary (closures, lambdas) — which
+            # in-process serial execution still handles.
             return self._degrade(
                 specs, [None] * len(specs), journal,
                 reason=f"queue dir unusable: {exc}",
@@ -1057,21 +1204,28 @@ class DirQueueBackend(ExecutionBackend):
                 specs, [None] * len(specs), journal,
                 reason="multiprocessing unavailable",
             )
-        return self._schedule(queue, specs, index_of, journal, context)
+        return self._schedule(
+            queue, specs, index_of, journal, context, heartbeat_s
+        )
 
     # -- scheduling loop ------------------------------------------------------
 
-    def _schedule(self, queue, specs, index_of, journal, context):
+    def _schedule(  # noqa: C901 - one cohesive loop
+        self, queue, specs, index_of, journal, context, heartbeat_s
+    ):
         runner = self.runner
         results: List[Optional[TrialOutcome]] = [None] * len(specs)
-        emit = getattr(runner, "_emit", None)
-        workers: List[Any] = []
+        workers: Dict[str, Any] = {}  # worker identity -> process
+        dead: set = set()  # identities of local workers that died
+        me = worker_identity(0)  # spawned workers count epochs from 1
+        hung = LeaseObserver(HUNG_AFTER_BEATS * heartbeat_s + 0.05)
         epoch = 0
         respawns_left = RESPAWN_BUDGET_PER_WORKER * runner.max_workers
+        watched: Dict[str, Any] = {}
         seen_results: set = set()
         seen_quarantine: set = set()
+        seen_failures: set = set()
         seen_stale: set = set()
-        lease_mirror: Dict[str, Tuple[str, int]] = {}
         slow_stats = 0
         degrade_reason = None
 
@@ -1084,12 +1238,15 @@ class DirQueueBackend(ExecutionBackend):
                 daemon=True,
             )
             process.start()
-            workers.append(process)
+            workers[f"{socket.gethostname()}:{process.pid}:{epoch}"] = process
 
         try:
             for _ in range(runner.max_workers):
                 spawn()
         except Exception as exc:
+            for process in workers.values():
+                process.kill()
+                process.join()
             return self._degrade(
                 specs, results, journal,
                 reason=f"cannot spawn queue workers: {exc}",
@@ -1119,9 +1276,10 @@ class DirQueueBackend(ExecutionBackend):
                     degrade_reason = "queue dir no longer writable"
                     break
 
-                self._mirror_leases(
-                    queue, specs, index_of, journal, lease_mirror
+                held = self._observe_claims(
+                    queue, specs, index_of, results, watched, dead, me
                 )
+                self._kill_hung(queue, specs, index_of, workers, held, hung)
                 for marker in queue.stale_markers():
                     if marker in seen_stale:
                         continue
@@ -1135,42 +1293,50 @@ class DirQueueBackend(ExecutionBackend):
 
                 progressed = self._collect(
                     queue, specs, index_of, results, journal,
-                    seen_results, seen_quarantine, emit,
+                    seen_results, seen_quarantine, watched,
                 )
+                self._record_failures(queue, specs, index_of, seen_failures)
 
-                # Health probe 2: the worker fleet.
-                alive = [p for p in workers if p.is_alive()]
-                dead = len(workers) - len(alive)
-                workers[:] = alive
-                if dead and not queue.drained() and any(
+                # Health probe 2: the worker fleet.  A worker that ended
+                # itself on a trial timeout (or found the queue drained)
+                # is replaced for free; any other exit is a death.
+                exited = [
+                    identity for identity, process in workers.items()
+                    if not process.is_alive()
+                ]
+                deaths = 0
+                for identity in exited:
+                    code = workers.pop(identity).exitcode
+                    if code not in (0, TIMEOUT_EXIT_CODE):
+                        dead.add(identity)
+                        deaths += 1
+                if exited and not queue.drained() and any(
                     outcome is None for outcome in results
                 ):
-                    for _ in range(dead):
-                        if respawns_left <= 0:
-                            degrade_reason = (
-                                "worker respawn budget exhausted"
-                            )
-                            break
-                        respawns_left -= 1
-                        try:
+                    if deaths > respawns_left:
+                        degrade_reason = "worker respawn budget exhausted"
+                        break
+                    respawns_left -= deaths
+                    try:
+                        for _ in exited:
                             spawn()
-                        except Exception as exc:
-                            degrade_reason = (
-                                f"cannot respawn queue worker: {exc}"
-                            )
-                            break
-                    if degrade_reason is not None:
+                    except Exception as exc:
+                        degrade_reason = f"cannot respawn queue worker: {exc}"
                         break
                 if not progressed:
                     time.sleep(runner.poll_interval_s)
         finally:
-            for process in workers:
-                process.terminate()
-            for process in workers:
+            # SIGKILL, not SIGTERM: a worker forked an instant ago may
+            # still run the parent's SIGTERM handler (and swallow the
+            # signal), and the queue protocol survives any death anyway.
+            for process in workers.values():
+                process.kill()
+            for process in workers.values():
                 process.join()
+        self._record_failures(queue, specs, index_of, seen_failures)
 
         if degrade_reason is not None:
-            results = self._degrade(
+            return self._degrade(
                 specs, results, journal, reason=degrade_reason
             )
         return [outcome for outcome in results if outcome is not None]
@@ -1186,19 +1352,21 @@ class DirQueueBackend(ExecutionBackend):
             return False
         return True
 
-    def _mirror_leases(
-        self, queue, specs, index_of, journal, lease_mirror
-    ) -> None:
-        """Reflect observed claims into the journal + telemetry.
+    def _observe_claims(
+        self, queue, specs, index_of, results, watched, dead, me
+    ) -> Dict[str, Tuple[str, ClaimState]]:
+        """Watch the live claims of unsettled trials; reclaim the dead's.
 
-        The journal is the campaign's single durable narrative; foreign
-        workers cannot append to it (it is not shared), so the scheduler
-        transcribes what it sees: each new ``(owner, token)`` pair
-        becomes a lease record carrying host, pid and fencing token —
-        which is exactly what ``repro journal inspect`` then prints.
+        Emits ``claim-won`` the first time a trial is seen claimed and
+        ``lease-reclaimed`` whenever its owner or token changes after
+        that.  Claims held by local workers that died are reaped at
+        once.  Returns ``{owner: (tid, claim)}`` for the live claims.
         """
         runner = self.runner
+        held: Dict[str, Tuple[str, ClaimState]] = {}
         for tid, indices in index_of.items():
+            if all(results[index] is not None for index in indices):
+                continue
             claim = queue.read_claim(tid)
             if (
                 claim is None
@@ -1207,46 +1375,91 @@ class DirQueueBackend(ExecutionBackend):
                 or not claim.owner
             ):
                 continue
-            signature = (claim.owner, claim.token)
-            if lease_mirror.get(tid) == signature:
-                continue
-            previous = lease_mirror.get(tid)
-            lease_mirror[tid] = signature
             key = specs[indices[0]].key
-            if journal is not None:
-                journal.record_lease(
-                    key,
-                    claim.owner,
-                    claim.attempt,
-                    queue.ttl_s,
-                    host=claim.host,
-                    pid=claim.pid,
-                    token=claim.token,
+            if claim.owner in dead:
+                if queue.reap(tid, claim, me):
+                    watched[tid] = _FREED
+                    runner._record_event(
+                        "lease-reclaimed", key=key,
+                        detail=f"token {claim.token} ({claim.owner}) died",
+                    )
+                continue
+            held[claim.owner] = (tid, claim)
+            self._note_claim(watched, tid, key, (claim.owner, claim.token))
+        return held
+
+    def _note_claim(self, watched, tid, key, signature) -> None:
+        """Report a trial's first claim, and every change of claim after."""
+        previous = watched.get(tid)
+        if previous == signature:
+            return
+        watched[tid] = signature
+        owner, token = signature
+        if previous is None:
+            self.runner._record_event(
+                "claim-won", key=key, detail=f"{owner} token {token}"
+            )
+        elif previous is not _FREED:
+            self.runner._record_event(
+                "lease-reclaimed", key=key,
+                detail=(
+                    f"token {previous[1]} ({previous[0]}) -> "
+                    f"token {token} ({owner})"
+                ),
+            )
+
+    def _kill_hung(self, queue, specs, index_of, workers, held, hung) -> None:
+        """SIGKILL local workers whose claim stopped heartbeating.
+
+        The next pass sees the worker dead and reaps its claim, so a
+        silent worker costs a few heartbeat periods, not a lease TTL —
+        and a campaign whose every worker hangs still finishes.
+        """
+        for identity, process in workers.items():
+            if identity not in held:
+                continue
+            tid, claim = held[identity]
+            if queue.has_result(tid):
+                continue  # committed; the claim just has not moved on
+            if hung.expired(tid, queue.claim_signature(tid, claim)):
+                hung.forget(tid)
+                process.kill()
+                self.runner._record_event(
+                    "heartbeat-missed", key=specs[index_of[tid][0]].key,
+                    detail=f"{identity} silent on token {claim.token}",
                 )
-            if previous is None:
-                runner._record_event(
-                    "claim-won", key=key,
-                    detail=f"{claim.owner} token {claim.token}",
-                )
-            else:
-                runner._record_event(
-                    "lease-reclaimed", key=key,
-                    detail=(
-                        f"token {previous[1]} ({previous[0]}) -> "
-                        f"token {claim.token} ({claim.owner})"
-                    ),
+
+    def _record_failures(self, queue, specs, index_of, seen) -> None:
+        """One telemetry record per failed attempt, from failure records."""
+        for name in queue.failure_names():
+            if name in seen:
+                continue
+            tid = name.split(".a", 1)[0]
+            indices = index_of.get(tid)
+            record = queue.read_failure(name)
+            if indices is None or record is None:
+                continue
+            seen.add(name)
+            for index in indices:
+                self.runner._record(
+                    specs[index].key,
+                    int(record.get("attempt", 1)),
+                    str(record.get("status", "error")),
+                    float(record.get("wall_clock_s", 0.0)),
+                    str(record.get("error", "")),
                 )
 
     def _collect(
         self, queue, specs, index_of, results, journal,
-        seen_results, seen_quarantine, emit,
+        seen_results, seen_quarantine, watched,
     ) -> bool:
         """Fold new results/quarantines into outcomes; True if any did.
 
         A tid covers every spec index whose key hashed to it (duplicate
         keys share one task), so each decision fans out to all of them —
         per-index records mirror what serial would have reported had it
-        run each occurrence itself.
+        run each occurrence itself.  A failed trial's attempts are
+        already in telemetry through their failure records.
         """
         runner = self.runner
         progressed = False
@@ -1257,24 +1470,38 @@ class DirQueueBackend(ExecutionBackend):
                 try:
                     record = queue.read_result(tid)
                 except Exception as exc:
-                    # A corrupt payload (chaos, torn NFS page): discard
-                    # and let the fence hand the trial to a new worker.
-                    queue.drop_result(tid)
+                    # A corrupt payload (chaos, torn NFS page): a failed
+                    # attempt; the released claim goes to a new worker.
+                    queue.drop_result(
+                        tid, error=f"result could not be unpickled: {exc!r}"
+                    )
+                    watched[tid] = _FREED
                     runner._record_event(
                         "result-corrupt",
                         key=specs[indices[0]].key,
                         detail=repr(exc),
+                    )
+                    runner._record_event(
+                        "lease-reclaimed", key=specs[indices[0]].key,
+                        detail="unreadable result dropped",
                     )
                     continue
                 if record is None:
                     continue
                 seen_results.add(tid)
                 progressed = True
+                # A trial claimed and committed between two passes is
+                # seen here first: the result names its claim.
+                self._note_claim(
+                    watched, tid, specs[indices[0]].key,
+                    (record.get("owner"), record.get("token")),
+                )
                 attempts = int(record.get("attempts", 1))
                 wall = float(record.get("wall_clock_s", 0.0))
+                status = record.get("status")
                 for index in indices:
                     spec = specs[index]
-                    if record.get("status") == "ok":
+                    if status == "ok":
                         runner._record(spec.key, attempts, "ok", wall)
                         if journal is not None:
                             journal.record_success(
@@ -1288,13 +1515,9 @@ class DirQueueBackend(ExecutionBackend):
                             attempts=attempts,
                             wall_clock_s=wall,
                         )
-                        if emit is not None:
-                            emit(results[index])
+                        runner._emit(results[index])
                     else:
                         error = str(record.get("error", "unknown error"))
-                        runner._record(
-                            spec.key, attempts, "error", wall, error
-                        )
                         if journal is not None:
                             journal.record_failure(
                                 spec.key, error, attempts
@@ -1305,6 +1528,10 @@ class DirQueueBackend(ExecutionBackend):
                             error=error,
                             attempts=attempts,
                             wall_clock_s=wall,
+                            timed_out=status == "timeout",
+                            infrastructure=bool(
+                                record.get("infrastructure", False)
+                            ),
                         )
             elif tid not in seen_quarantine and queue.has_quarantine(tid):
                 record = queue.read_quarantine(tid)
@@ -1321,7 +1548,6 @@ class DirQueueBackend(ExecutionBackend):
                 )
                 for index in indices:
                     spec = specs[index]
-                    runner._record(spec.key, attempts, "error", 0.0, error)
                     runner._record_event(
                         "quarantined", key=spec.key,
                         detail=f"{len(owners)} dead workers",
@@ -1340,7 +1566,7 @@ class DirQueueBackend(ExecutionBackend):
                     )
         return progressed
 
-    def _plant_ghost_claims(self, queue, specs, journal) -> None:
+    def _plant_ghost_claims(self, queue, specs) -> None:
         """Chaos lease contention: pre-claim trials for a foreign ghost.
 
         The ghost never heartbeats, so its signature freezes and real
@@ -1360,7 +1586,7 @@ class DirQueueBackend(ExecutionBackend):
     # -- degradation ----------------------------------------------------------
 
     def _degrade(self, specs, results, journal, reason: str):
-        """Finish the unfinished trials one rung down, chaos-free."""
+        """Finish the unfinished trials in-process (never sabotaged)."""
         runner = self.runner
         remaining = [
             i for i, outcome in enumerate(results) if outcome is None
@@ -1368,28 +1594,18 @@ class DirQueueBackend(ExecutionBackend):
         runner._record_event(
             "degraded",
             detail=(
-                f"dir-queue->local-supervised ({len(remaining)} trials: "
+                f"dir-queue->local-serial ({len(remaining)} trials: "
                 f"{reason})"
             ),
         )
-        if journal is not None:
-            journal.record_campaign_event(
-                "degraded", f"dir-queue->local-supervised: {reason}"
-            )
-        if not remaining:
-            return results
-        saved_chaos = runner.chaos
-        runner.chaos = None  # the sabotage made its point; finish clean
-        try:
-            sub = SupervisedBackend(runner).run(
-                [specs[i] for i in remaining], journal
-            )
-        finally:
-            runner.chaos = saved_chaos
-        for outcome in sub:
-            index = remaining[outcome.index]
-            results[index] = dataclasses.replace(outcome, index=index)
-        return results
+        for index in remaining:
+            results[index] = runner._run_serial(index, specs[index], journal)
+        return [outcome for outcome in results if outcome is not None]
+
+
+#: ``watched`` marker for a claim the scheduler itself just freed, so the
+#: next owner's arrival is not reported as a second reclaim.
+_FREED = object()
 
 
 def _task_payload(
@@ -1407,12 +1623,6 @@ def _task_payload(
     if runner.chaos is not None:
         kill_all = index in runner.chaos.kill_all_attempts_on
         mode = runner.chaos.mode_for(index, 1)
-        if mode in ("hang", "corrupt"):
-            # hang would beat its heart forever (no reclaim) and corrupt
-            # detonates in the scheduler, not a worker: both are
-            # supervised-backend sabotage, meaningless here.  The trial
-            # timeout watchdog covers real hangs.
-            mode = None
     return {
         "key": spec.key,
         "fn": spec.fn,

@@ -149,7 +149,8 @@ def compare_protocols(
         telemetry=telemetry,
         backend=base_scenario.backend,
         lease_ttl_s=base_scenario.lease_ttl_s,
-        retry_seed=base_scenario.seed,
+        queue_dir=base_scenario.queue_dir,
+        quarantine_after=base_scenario.quarantine_after,
     )
     try:
         outcomes = runner.run(specs, journal=journal)

@@ -45,21 +45,25 @@ import hashlib
 import json
 import os
 import pickle
-import time
 import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.util.errors import ConfigError, JournalCorruptError
 
 #: Journal format version.  Bump on any incompatible line-format change.
-#: Lease/heartbeat/event records (the supervised execution backend) and
-#: quarantine records (the dir-queue backend's poison-trial parking) ride
+#: Quarantine records (the dir-queue backend's poison-trial parking) ride
 #: inside schema 1: older journals simply contain none of them, and the
 #: completed-trial reader skips any kind it is not aggregating.
 SCHEMA_VERSION = 1
 
-#: Record kinds a schema-1 journal may contain after the header.
-RECORD_KINDS = ("trial", "lease", "heartbeat", "event", "quarantine")
+#: Record kinds this version writes after the header.
+RECORD_KINDS = ("trial", "quarantine")
+
+#: Supervision record kinds that journals written by earlier versions
+#: may still hold (lease grants, worker heartbeats, campaign events).
+#: Nothing reads them any more: readers skip them, so those journals
+#: still resume, and compaction drops them.
+LEGACY_KINDS = ("lease", "heartbeat", "event")
 
 
 def fsync_directory(path: str) -> None:
@@ -147,42 +151,6 @@ class JournalEntry:
 
 
 @dataclasses.dataclass(frozen=True)
-class LeaseRecord:
-    """The latest lease on one trial, as read back from a journal.
-
-    A lease is *ownership with an expiry*: the owner claimed the trial up
-    to ``deadline_unix`` (wall-clock seconds).  A runner that finds an
-    unexpired lease held by someone else must wait it out; an expired
-    lease may be reclaimed (with ``attempt + 1``) without risking a
-    double-count, because results are only ever taken from ``trial``
-    records — the lease merely serialises *who runs it next*.
-
-    Attributes:
-        key_id: canonical trial-key identity (:func:`trial_key_id`).
-        owner: opaque owner id (host/pid/worker of the claimant).
-        attempt: 1-based attempt number this lease covers.
-        deadline_unix: wall-clock expiry (``time.time()`` seconds).
-        host: claimant hostname, when the backend knows it (dir-queue).
-        pid: claimant process id, when known.
-        token: monotonic fencing token of the claim generation, when the
-            backend fences commits (dir-queue).  A larger token always
-            supersedes a smaller one for the same key.
-    """
-
-    key_id: str
-    owner: str
-    attempt: int
-    deadline_unix: float
-    host: Optional[str] = None
-    pid: Optional[int] = None
-    token: Optional[int] = None
-
-    def expired(self, now: Optional[float] = None) -> bool:
-        """Whether the lease has lapsed (``now`` defaults to wall clock)."""
-        return (time.time() if now is None else now) >= self.deadline_unix
-
-
-@dataclasses.dataclass(frozen=True)
 class QuarantineRecord:
     """One poison trial parked by the dir-queue backend.
 
@@ -235,12 +203,10 @@ class TrialJournal:
         self.fingerprint = str(fingerprint)
         self._fsync = bool(fsync)
         self._completed: Dict[str, JournalEntry] = {}
-        self._leases: Dict[str, LeaseRecord] = {}
         self._quarantined: Dict[str, QuarantineRecord] = {}
         has_content = os.path.exists(self.path) and os.path.getsize(self.path) > 0
         if resume and has_content:
             self._completed = read_completed(self.path, self.fingerprint)
-            self._leases = read_lease_state(self.path, self.fingerprint)
             self._quarantined = read_quarantine(self.path, self.fingerprint)
             self._file = open(self.path, "ab")
         else:
@@ -265,15 +231,6 @@ class TrialJournal:
     def completed(self) -> Dict[str, JournalEntry]:
         """Completed trials loaded at open time, keyed by key identity."""
         return self._completed
-
-    @property
-    def leases(self) -> Dict[str, LeaseRecord]:
-        """Live lease state: latest lease per *incomplete* trial key.
-
-        Loaded from the file on resume, then kept current as this
-        process records leases and trial completions of its own.
-        """
-        return self._leases
 
     @property
     def quarantined(self) -> Dict[str, QuarantineRecord]:
@@ -301,18 +258,16 @@ class TrialJournal:
                 pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL), 1
             )
         ).decode("ascii")
-        key_id = trial_key_id(key)
         self._write_line(
             {
                 "kind": "trial",
-                "key": key_id,
+                "key": trial_key_id(key),
                 "status": "ok",
                 "attempts": int(attempts),
                 "wall_clock_s": float(wall_clock_s),
                 "value": payload,
             }
         )
-        self._leases.pop(key_id, None)  # completion releases the lease
 
     def record_failure(self, key: Any, error: str, attempts: int) -> None:
         """Record a terminally failed trial (observability only).
@@ -321,73 +276,15 @@ class TrialJournal:
         restarted campaign retries them, which is what you want after
         fixing whatever killed them.
         """
-        key_id = trial_key_id(key)
         self._write_line(
             {
                 "kind": "trial",
-                "key": key_id,
+                "key": trial_key_id(key),
                 "status": "error",
                 "attempts": int(attempts),
                 "error": str(error)[:2000],
             }
         )
-        self._leases.pop(key_id, None)  # terminal failure releases it too
-
-    # -- supervision records -------------------------------------------------
-
-    def record_lease(
-        self,
-        key: Any,
-        owner: str,
-        attempt: int,
-        ttl_s: float,
-        deadline_unix: Optional[float] = None,
-        host: Optional[str] = None,
-        pid: Optional[int] = None,
-        token: Optional[int] = None,
-    ) -> LeaseRecord:
-        """Durably claim (or extend/reclaim) one trial for ``owner``.
-
-        Appends an append-only ``lease`` record — later records supersede
-        earlier ones for the same key, so grant, deadline extension and
-        reclaim are all the same operation with different ``attempt`` /
-        deadline values.  ``host``/``pid``/``token`` carry the dir-queue
-        backend's claimant identity and fencing token when known; the
-        keys are simply absent from journals written by backends that do
-        not fence.  Returns the resulting :class:`LeaseRecord` and keeps
-        :attr:`leases` current.
-        """
-        deadline = (
-            time.time() + float(ttl_s)
-            if deadline_unix is None
-            else float(deadline_unix)
-        )
-        key_id = trial_key_id(key)
-        line: Dict[str, Any] = {
-            "kind": "lease",
-            "key": key_id,
-            "owner": str(owner),
-            "attempt": int(attempt),
-            "deadline": deadline,
-        }
-        if host is not None:
-            line["host"] = str(host)
-        if pid is not None:
-            line["pid"] = int(pid)
-        if token is not None:
-            line["token"] = int(token)
-        self._write_line(line)
-        lease = LeaseRecord(
-            key_id=key_id,
-            owner=str(owner),
-            attempt=int(attempt),
-            deadline_unix=deadline,
-            host=None if host is None else str(host),
-            pid=None if pid is None else int(pid),
-            token=None if token is None else int(token),
-        )
-        self._leases[key_id] = lease
-        return lease
 
     def record_quarantine(
         self,
@@ -398,10 +295,9 @@ class TrialJournal:
     ) -> QuarantineRecord:
         """Durably park a poison trial that keeps killing workers.
 
-        Releases any live lease on the key (the trial will not be run
-        again) and keeps :attr:`quarantined` current.  The record is
-        fsync-ed like a trial record: losing a quarantine decision to a
-        power cut would put the poison trial straight back on the queue.
+        Keeps :attr:`quarantined` current.  The record is fsync-ed like a
+        trial record: losing a quarantine decision to a power cut would
+        put the poison trial straight back on the queue.
         """
         key_id = trial_key_id(key)
         distinct = tuple(dict.fromkeys(str(owner) for owner in owners))
@@ -420,43 +316,8 @@ class TrialJournal:
             attempts=int(attempts),
             traceback=str(traceback_text)[:8000],
         )
-        self._leases.pop(key_id, None)  # quarantine releases the lease
         self._quarantined[key_id] = record
         return record
-
-    def record_heartbeat(self, key: Any, owner: str, seq: int) -> None:
-        """Record one observed worker heartbeat (observability only).
-
-        Heartbeats are progress evidence, not results, so they skip the
-        fsync — losing the tail of a heartbeat stream to a power cut
-        changes nothing about what can be resumed.
-        """
-        self._write_line(
-            {
-                "kind": "heartbeat",
-                "key": trial_key_id(key),
-                "owner": str(owner),
-                "seq": int(seq),
-                "t": time.time(),
-            },
-            fsync=False,
-        )
-
-    def record_campaign_event(self, event: str, detail: str = "") -> None:
-        """Record a campaign-level event (e.g. a backend degradation).
-
-        These lines are what makes an after-the-fact ``repro journal
-        inspect`` able to say *why* a supervised campaign finished on a
-        lesser backend instead of crashing.
-        """
-        self._write_line(
-            {
-                "kind": "event",
-                "event": str(event),
-                "detail": str(detail)[:2000],
-                "t": time.time(),
-            }
-        )
 
     def _write_line(
         self, obj: Dict[str, Any], fsync: Optional[bool] = None
@@ -524,8 +385,8 @@ def read_completed(
             if number == 1:
                 _check_header(obj, path, expect_fingerprint)
                 continue
-            if obj.get("kind") in ("lease", "heartbeat", "event", "quarantine"):
-                continue  # supervision records; not completed trials
+            if obj.get("kind") in ("quarantine",) + LEGACY_KINDS:
+                continue  # not completed trials
             if obj.get("kind") != "trial":
                 raise _CorruptLine(
                     f"unexpected line kind {obj.get('kind')!r}"
@@ -586,8 +447,8 @@ def scan_records(
     rewrite journals (:func:`compact_journal`) can keep surviving lines
     byte-identical instead of re-encoding pickled payloads.  Same
     validation and torn-tail policy as :func:`read_completed`; unknown
-    record kinds are corruption, a torn final line is tolerated and
-    reported via the returned flag.
+    record kinds are corruption (the legacy supervision kinds are not),
+    a torn final line is tolerated and reported via the returned flag.
     """
     try:
         with open(path, "rb") as handle:
@@ -613,7 +474,7 @@ def scan_records(
                 _check_header(obj, path, expect_fingerprint)
                 header = obj
                 continue
-            if obj.get("kind") not in RECORD_KINDS:
+            if obj.get("kind") not in RECORD_KINDS + LEGACY_KINDS:
                 raise _CorruptLine(
                     f"unexpected line kind {obj.get('kind')!r}"
                 )
@@ -628,37 +489,6 @@ def scan_records(
                 f"journal {path!r} line {number} is corrupt: {exc}"
             ) from exc
     return header, records, torn
-
-
-def read_lease_state(
-    path: str, expect_fingerprint: Optional[str] = None
-) -> Dict[str, LeaseRecord]:
-    """Live leases of a journal: latest lease per *incomplete* trial key.
-
-    A ``trial`` record (success or terminal failure) releases the key's
-    lease; later lease records supersede earlier ones.  What remains is
-    exactly the set of claims a resuming runner must arbitrate: wait out
-    the unexpired ones, reclaim the expired ones.
-    """
-    _header, records, _torn = scan_records(path, expect_fingerprint)
-    leases: Dict[str, LeaseRecord] = {}
-    for _raw, obj in records:
-        kind = obj.get("kind")
-        if kind == "lease":
-            pid = obj.get("pid")
-            token = obj.get("token")
-            leases[obj["key"]] = LeaseRecord(
-                key_id=obj["key"],
-                owner=str(obj.get("owner", "?")),
-                attempt=int(obj.get("attempt", 1)),
-                deadline_unix=float(obj.get("deadline", 0.0)),
-                host=obj.get("host"),
-                pid=None if pid is None else int(pid),
-                token=None if token is None else int(token),
-            )
-        elif kind in ("trial", "quarantine"):
-            leases.pop(obj["key"], None)
-    return leases
 
 
 def read_quarantine(
@@ -700,11 +530,8 @@ class JournalStats:
         records: total records after the header (surviving lines).
         trials_ok / trials_failed: terminal trial records by status.
         distinct_completed: distinct keys with at least one ok record.
-        leases: lease records in the file (grants + extensions + reclaims).
-        live_leases: keys still holding an unreleased lease.
-        expired_leases: of those, how many have lapsed (reclaimable).
-        heartbeats: heartbeat records.
-        events: campaign-event records (e.g. backend degradations).
+        legacy: lease/heartbeat/event records left by earlier versions
+            (all superseded: nothing reads them).
         quarantined: trials currently parked as poison (latest state).
         superseded: records a :func:`compact_journal` pass would drop.
         torn_tail: whether the file ends in a torn (crash-residue) line.
@@ -718,11 +545,7 @@ class JournalStats:
     trials_ok: int
     trials_failed: int
     distinct_completed: int
-    leases: int
-    live_leases: int
-    expired_leases: int
-    heartbeats: int
-    events: int
+    legacy: int
     superseded: int
     torn_tail: bool
     quarantined: int = 0
@@ -732,20 +555,16 @@ def _partition_records(records):
     """Split a record stream into what compaction keeps and drops.
 
     Keeps, in original order: the last ``ok`` trial record per key (or
-    the last failure record for keys that never succeeded), the latest
-    lease per still-leased key, the latest quarantine per still-parked
-    key, and every ``event`` record.  Drops every heartbeat and
-    everything superseded.  Returns ``(kept_raw_lines, num_superseded,
-    aggregates)`` where aggregates back :class:`JournalStats`.
+    the last failure record for keys that never succeeded) and the
+    latest quarantine per still-parked key.  Drops every legacy
+    supervision record and everything superseded.  Returns
+    ``(kept_raw_lines, num_superseded, aggregates)`` where aggregates
+    back :class:`JournalStats`.
     """
     last_trial: Dict[str, int] = {}  # key -> index of record to keep
     key_succeeded: Dict[str, bool] = {}
-    lease_latest: Dict[str, int] = {}
     quarantine_latest: Dict[str, int] = {}
-    counts = {
-        "trials_ok": 0, "trials_failed": 0, "leases": 0,
-        "heartbeats": 0, "events": 0,
-    }
+    counts = {"trials_ok": 0, "trials_failed": 0, "legacy": 0}
     for position, (_raw, obj) in enumerate(records):
         kind = obj.get("kind")
         if kind == "trial":
@@ -755,29 +574,16 @@ def _partition_records(records):
             if ok or not key_succeeded.get(key, False):
                 last_trial[key] = position
             key_succeeded[key] = key_succeeded.get(key, False) or ok
-            lease_latest.pop(key, None)  # trial record releases the lease
             if ok:
                 quarantine_latest.pop(key, None)  # success lifts quarantine
-        elif kind == "lease":
-            counts["leases"] += 1
-            lease_latest[obj["key"]] = position
-        elif kind == "heartbeat":
-            counts["heartbeats"] += 1
-        elif kind == "event":
-            counts["events"] += 1
         elif kind == "quarantine":
-            key = obj["key"]
-            quarantine_latest[key] = position
-            lease_latest.pop(key, None)  # quarantine releases the lease
-    keep = (
-        set(last_trial.values())
-        | set(lease_latest.values())
-        | set(quarantine_latest.values())
-    )
+            quarantine_latest[obj["key"]] = position
+        else:
+            counts["legacy"] += 1
+    keep = set(last_trial.values()) | set(quarantine_latest.values())
     kept = [
-        raw
-        for position, (raw, obj) in enumerate(records)
-        if position in keep or obj.get("kind") == "event"
+        raw for position, (raw, _obj) in enumerate(records)
+        if position in keep
     ]
     counts["distinct_completed"] = sum(
         1 for succeeded in key_succeeded.values() if succeeded
@@ -790,8 +596,6 @@ def inspect_journal(path: str) -> JournalStats:
     """Summarise a journal file without loading any trial values."""
     header, records, torn = scan_records(path)
     kept, superseded, counts = _partition_records(records)
-    live = read_lease_state(path)
-    expired = sum(1 for lease in live.values() if lease.expired())
     return JournalStats(
         path=str(path),
         fingerprint=str(header.get("fingerprint", "?")),
@@ -801,11 +605,7 @@ def inspect_journal(path: str) -> JournalStats:
         trials_ok=counts["trials_ok"],
         trials_failed=counts["trials_failed"],
         distinct_completed=counts["distinct_completed"],
-        leases=counts["leases"],
-        live_leases=len(live),
-        expired_leases=expired,
-        heartbeats=counts["heartbeats"],
-        events=counts["events"],
+        legacy=counts["legacy"],
         superseded=superseded,
         torn_tail=torn,
         quarantined=counts["quarantined"],
@@ -817,13 +617,13 @@ def compact_journal(
 ) -> Tuple[int, int]:
     """Rewrite a journal without its superseded records, atomically.
 
-    Long supervised campaigns append a lease record per grant/extension
-    and a heartbeat stream per worker; none of that is needed once the
-    trials it supervised are complete.  Compaction keeps the header, the
-    terminal trial record per key, the latest lease per still-incomplete
-    key, and every event record — every surviving line byte-identical to
-    the original, so resuming from the compacted journal is exactly
-    resuming from the original.
+    A campaign that retried trials holds failure records its later
+    successes supersede, and journals from earlier versions carry
+    lease/heartbeat/event streams nothing reads any more.  Compaction
+    keeps the header, the terminal trial record per key and the latest
+    quarantine per still-parked key — every surviving line
+    byte-identical to the original, so resuming from the compacted
+    journal is exactly resuming from the original.
 
     Writes to a temp file in the same directory, fsyncs, then
     ``os.replace``-es over ``output`` (default: in place) — a crash

@@ -41,10 +41,10 @@ Twelve kinds exist (:data:`KINDS`):
 ``backend``
     Execution-backend factories, ``factory(runner) ->
     ExecutionBackend`` (see :mod:`repro.core.backend`) — where a
-    campaign's *trials* execute (in-process serial, a local process
-    pool, or the lease/heartbeat-supervised pool); every backend
-    produces bit-identical campaign results, only the failure-handling
-    machinery differs.
+    campaign's *trials* execute (in-process serial, or worker processes
+    draining the fenced file queue of :mod:`repro.core.distq`); every
+    backend produces bit-identical campaign results, only the
+    failure-handling machinery differs.
 ``tech``
     Radio-technology profiles, ``factory(scenario, **options) ->
     TechProfile`` (see :mod:`repro.phy.tech`) — frequency, bandwidth,

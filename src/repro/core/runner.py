@@ -9,12 +9,12 @@ set with:
 * **deterministic results** — a trial's output is a pure function of its
   :class:`TrialSpec` arguments (seeds are derived *before* submission), so
   ``max_workers=4`` is bit-identical to ``max_workers=1``;
-* **bounded trials** — ``trial_timeout_s`` kills a stuck worker;
-* **automatic retry** — a crashed or timed-out trial is re-launched up to
-  ``max_attempts`` times;
+* **bounded trials** — ``trial_timeout_s`` ends a stuck attempt;
+* **automatic retry** — a crashed, timed-out or failed attempt is re-run
+  up to ``max_attempts`` times;
 * **graceful degradation** — ``max_workers=1``, an unavailable
-  ``multiprocessing`` layer, or a failed worker launch all fall back to
-  plain in-process serial execution;
+  ``multiprocessing`` layer, or an unusable queue directory all fall back
+  to plain in-process serial execution;
 * **observability** — every attempt is reported to a
   :class:`repro.metrics.collector.CampaignTelemetry`;
 * **crash-safety** — pass a :class:`repro.core.journal.TrialJournal` to
@@ -25,18 +25,12 @@ set with:
 
 *Where* the trials execute is an :class:`~repro.core.backend.
 ExecutionBackend` resolved by name through the ``backend`` registry
-namespace: ``"local-serial"`` (in-process), ``"local-process"`` (the
-process pool), ``"local-supervised"`` (lease/heartbeat-supervised pool
-with deterministic retry backoff and a degradation ladder), or ``"auto"``
-(serial for ``max_workers=1``, the pool otherwise).  This class keeps the
-campaign-level concerns every backend shares — journal resume filtering,
-telemetry, the low-level worker mechanics backends borrow — and delegates
-execution itself.
-
-One process per trial keeps the failure domain small (a crashing trial
-cannot take unrelated trials with it, unlike a shared pool) and makes the
-timeout semantics exact: the stuck process is terminated, not abandoned.
-Simulation trials run for seconds, so process start-up cost is noise.
+namespace: ``"local-serial"`` (in-process), ``"dir-queue"`` (long-lived
+worker processes draining a fenced file queue, see
+:mod:`repro.core.distq`), or ``"auto"`` (serial for ``max_workers=1``,
+the dir-queue on a private temporary directory otherwise).  This class
+keeps the campaign-level concerns every backend shares — journal resume
+filtering, telemetry, streaming — and delegates execution itself.
 """
 
 from __future__ import annotations
@@ -92,10 +86,9 @@ class TrialOutcome:
         wall_clock_s: duration of the final attempt.
         timed_out: whether the final attempt hit ``trial_timeout_s``.
         infrastructure: whether the terminal failure was *infrastructure*
-            (worker crash, timeout, pipe/unpickle damage — things a retry
+            (worker death, timeout, an unreadable result — things a retry
             elsewhere could fix) rather than an exception raised by the
-            trial function itself.  Execution backends use the
-            distinction for circuit breaking and degradation.
+            trial function itself.
     """
 
     key: Any
@@ -113,39 +106,6 @@ class TrialOutcome:
         return self.error is None
 
 
-def _worker_main(fn, args, kwargs, conn) -> None:
-    """Worker-process entry point: run the trial, ship back the result.
-
-    Exceptions travel back as data, not as process death, so an ordinary
-    Python error never breaks the campaign.  Only a hard crash (segfault,
-    OOM kill) leaves the parent to diagnose an empty pipe.
-    """
-    try:
-        value = fn(*args, **kwargs)
-        try:
-            conn.send(("ok", value))
-        except Exception as exc:  # result not picklable / pipe gone
-            conn.send(("error", f"result could not be returned: {exc!r}"))
-    except BaseException as exc:
-        conn.send(
-            ("error", f"{type(exc).__name__}: {exc}\n{traceback.format_exc()}")
-        )
-    finally:
-        conn.close()
-
-
-@dataclasses.dataclass
-class _Active:
-    """Book-keeping for one in-flight worker process."""
-
-    index: int
-    attempt: int
-    process: Any
-    conn: Any
-    started: float
-    deadline: Optional[float]
-
-
 class TrialRunner:
     """Execute a sequence of :class:`TrialSpec` with bounded parallelism.
 
@@ -153,45 +113,29 @@ class TrialRunner:
         max_workers: worker processes; ``1`` runs everything in-process
             under the ``"auto"`` backend (no pickling requirements, no
             timeout enforcement).
-        trial_timeout_s: per-attempt wall-clock bound; a worker exceeding
-            it is terminated and the trial retried.  Only enforceable by
-            the process-based backends (a serial trial cannot be
-            preempted).
+        trial_timeout_s: per-attempt wall-clock bound; an attempt
+            exceeding it is ended (its worker exits) and the trial
+            retried.  Only enforceable by worker processes (a serial
+            trial cannot be preempted).
         max_attempts: total tries per trial (1 = no retry).
         telemetry: optional :class:`CampaignTelemetry` receiving one
-            :class:`TrialRecord` per attempt (and, under the supervised
-            backend, one :class:`~repro.metrics.collector.CampaignEvent`
-            per supervision action).
+            :class:`TrialRecord` per attempt and one
+            :class:`~repro.metrics.collector.CampaignEvent` per
+            supervision action (claims, reclaims, degradations).
         backend: execution-backend name resolved through the ``backend``
-            registry namespace — ``"auto"`` (default), ``"local-serial"``,
-            ``"local-process"`` or ``"local-supervised"``.
-        lease_ttl_s: supervised backend only — lease duration granted per
-            worker launch; a worker that heartbeats but runs past it gets
-            extensions, an owner that goes silent loses it.
-        heartbeat_interval_s: supervised backend only — worker heartbeat
-            period (``None`` derives it from ``lease_ttl_s``).
-        max_lease_extensions: supervised backend only — deadline
-            extensions a slow-but-alive worker may receive before being
-            treated as hung.
-        breaker_threshold: supervised backend only — consecutive
-            *infrastructure* failures (crashes, timeouts, pipe damage —
-            not trial exceptions) that open the circuit breaker and
-            degrade the campaign down the backend ladder.
-        retry_seed: supervised backend only — root seed of the per-trial
-            named RNG streams that jitter retry backoff, so retry
-            schedules are themselves reproducible.
-        retry_backoff_base_s / retry_backoff_cap_s: supervised backend
-            only — exponential backoff shape for retries.
-        campaign_retry_budget: supervised backend only — total retries
-            allowed across the whole campaign (``None`` = unlimited);
-            once spent, failing trials fail terminally instead of
-            retrying.
+            registry namespace — ``"auto"`` (default), ``"local-serial"``
+            or ``"dir-queue"``.
+        lease_ttl_s: dir-queue backend — how long a claim's heartbeat
+            signature may stay frozen before a peer reclaims the trial.
+        heartbeat_interval_s: dir-queue backend — worker heartbeat
+            period (``None`` derives it from ``lease_ttl_s``).  A local
+            worker silent for three periods is killed as hung.
         queue_dir: dir-queue backend only — the shared queue directory
             trials are scheduled through (any host's ``repro worker``
             pointed at the same directory joins the campaign).  ``None``
-            uses a private temporary directory, which still exercises
-            the full claim/fencing protocol but only local workers can
-            join.
+            uses a private temporary directory, removed when the run
+            ends, which still exercises the full claim/fencing protocol
+            but only local workers can join.
         quarantine_after: dir-queue backend only — distinct workers one
             trial may kill before it is parked in quarantine instead of
             being reclaimed again.
@@ -201,12 +145,11 @@ class TrialRunner:
             campaign settles them; resumed trials immediately).  This is
             the push half of :meth:`stream`.
         chaos: TEST-ONLY failure injector (a
-            :class:`repro.core.chaos.ChaosMonkey`).  Consulted per
-            worker launch; sabotaged attempts run the real trial and
-            then fail for real (SIGKILL, hang, corrupt payload,
-            heartbeat suppression, lease contention), so the
-            retry/journal machinery is exercised end to end.  Only
-            meaningful on process-based backends — the serial path runs
+            :class:`repro.core.chaos.ChaosMonkey`).  Sabotaged attempts
+            run the real trial and then fail for real (SIGKILL, hang,
+            corrupt payload, heartbeat suppression, lease contention),
+            so the retry/journal machinery is exercised end to end.
+            Only meaningful with worker processes — the serial path runs
             in-process and is never sabotaged.  Production campaigns
             must leave this ``None``.
     """
@@ -222,12 +165,6 @@ class TrialRunner:
         backend: str = "auto",
         lease_ttl_s: float = 30.0,
         heartbeat_interval_s: Optional[float] = None,
-        max_lease_extensions: int = 4,
-        breaker_threshold: int = 5,
-        retry_seed: int = 0,
-        retry_backoff_base_s: float = 0.05,
-        retry_backoff_cap_s: float = 2.0,
-        campaign_retry_budget: Optional[int] = None,
         queue_dir: Optional[str] = None,
         quarantine_after: int = 3,
         on_outcome: Optional[Callable[[TrialOutcome], None]] = None,
@@ -246,19 +183,6 @@ class TrialRunner:
             raise ConfigError(
                 f"heartbeat_interval_s must be > 0, got {heartbeat_interval_s}"
             )
-        if max_lease_extensions < 0:
-            raise ConfigError(
-                f"max_lease_extensions must be >= 0, got {max_lease_extensions}"
-            )
-        if breaker_threshold < 1:
-            raise ConfigError(
-                f"breaker_threshold must be >= 1, got {breaker_threshold}"
-            )
-        if campaign_retry_budget is not None and campaign_retry_budget < 0:
-            raise ConfigError(
-                "campaign_retry_budget must be >= 0 or None, got "
-                f"{campaign_retry_budget}"
-            )
         if quarantine_after < 1:
             raise ConfigError(
                 f"quarantine_after must be >= 1, got {quarantine_after}"
@@ -275,12 +199,6 @@ class TrialRunner:
         self.backend = _registry.normalize("backend", backend)
         self.lease_ttl_s = float(lease_ttl_s)
         self.heartbeat_interval_s = heartbeat_interval_s
-        self.max_lease_extensions = int(max_lease_extensions)
-        self.breaker_threshold = int(breaker_threshold)
-        self.retry_seed = int(retry_seed)
-        self.retry_backoff_base_s = float(retry_backoff_base_s)
-        self.retry_backoff_cap_s = float(retry_backoff_cap_s)
-        self.campaign_retry_budget = campaign_retry_budget
         self.queue_dir = None if queue_dir is None else str(queue_dir)
         self.quarantine_after = int(quarantine_after)
         self.on_outcome = on_outcome
@@ -358,8 +276,8 @@ class TrialRunner:
                 index = fresh[outcome.index][0]
                 outcomes[index] = dataclasses.replace(outcome, index=index)
         # Flush anything a backend did not emit eagerly (failures,
-        # quarantines, serial-rescue re-runs); _emit dedupes by key, so
-        # eagerly streamed successes are not repeated.
+        # quarantines, serial re-runs after a degrade); _emit dedupes by
+        # key, so eagerly streamed successes are not repeated.
         for outcome in outcomes:
             if outcome is not None:
                 self._emit(outcome)
@@ -422,7 +340,7 @@ class TrialRunner:
         spec: TrialSpec,
         journal: Optional[TrialJournal] = None,
     ) -> TrialOutcome:
-        """In-process execution with the same retry semantics as the pool."""
+        """In-process execution with the same retry semantics as workers."""
         error = None
         for attempt in range(1, self.max_attempts + 1):
             started = time.perf_counter()
@@ -457,16 +375,15 @@ class TrialRunner:
             attempts=self.max_attempts,
         )
 
-    # -- parallel path ------------------------------------------------------
+    # -- worker processes ---------------------------------------------------
 
     @staticmethod
     def _context():
         """A multiprocessing context, or ``None`` to degrade to serial.
 
-        Forking servers inherit the parent's memory, so even closures and
-        monkey-patched module state behave identically to serial runs;
-        where only ``spawn`` exists the specs must be picklable, and any
-        launch failure degrades the affected trials to in-process runs.
+        Forked workers inherit the parent's memory, so monkey-patched
+        module state behaves identically to serial runs; where only
+        ``spawn`` exists the worker must re-import everything it needs.
         """
         try:
             methods = multiprocessing.get_all_start_methods()
@@ -474,108 +391,6 @@ class TrialRunner:
             return multiprocessing.get_context(method)
         except Exception:
             return None
-
-    def _launch(self, context, spec: TrialSpec, index: int, attempt: int):
-        """Start one worker process for one attempt."""
-        fn, args, kwargs = spec.fn, spec.args, spec.kwargs
-        if self.chaos is not None:
-            mode = self.chaos.mode_for(index, attempt)
-            if mode is not None:
-                fn, args, kwargs = self.chaos.wrap(fn, args, kwargs, mode)
-        recv_conn, send_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_worker_main,
-            args=(fn, args, kwargs, send_conn),
-            daemon=True,
-        )
-        process.start()
-        send_conn.close()  # keep only the child's handle on the write end
-        started = time.monotonic()
-        deadline = (
-            started + self.trial_timeout_s
-            if self.trial_timeout_s is not None
-            else None
-        )
-        return _Active(
-            index=index,
-            attempt=attempt,
-            process=process,
-            conn=recv_conn,
-            started=started,
-            deadline=deadline,
-        )
-
-    def _poll(self, worker: _Active, now: float, settle) -> bool:
-        """Check one in-flight worker; returns True when it was settled.
-
-        ``settle`` receives an ``infra=`` flag distinguishing
-        *infrastructure* failures — parent-diagnosed damage (pipe closed,
-        unpickle failure, suspect exit code, crash, timeout) that a retry
-        on healthy infrastructure could fix — from trial errors the
-        worker itself reported.  The supervised backend's circuit breaker
-        counts only the former.
-        """
-        elapsed = now - worker.started
-        if worker.conn.poll():
-            infra = False
-            try:
-                status, payload = worker.conn.recv()
-            except (EOFError, OSError):
-                status, payload, infra = (
-                    "error",
-                    "worker pipe closed before a result arrived",
-                    True,
-                )
-            except Exception as exc:
-                # The payload crossed the pipe but failed to *unpickle* on
-                # this side (e.g. its class raises in __setstate__).  That
-                # must count as a failed attempt and retry — not escape and
-                # kill the whole campaign loop.
-                status, payload, infra = (
-                    "error",
-                    f"result could not be unpickled: {exc!r}",
-                    True,
-                )
-            worker.process.join()
-            worker.conn.close()
-            if status == "ok" and worker.process.exitcode not in (None, 0):
-                # The worker died after sending but with a failure exit:
-                # treat the result as suspect and retry the attempt.
-                status, payload, infra = (
-                    "error",
-                    "worker exited with code "
-                    f"{worker.process.exitcode} after sending its result",
-                    True,
-                )
-            if status == "ok":
-                settle(worker.index, worker.attempt, "ok", elapsed, payload)
-            else:
-                settle(
-                    worker.index, worker.attempt, "error", elapsed,
-                    error=payload, infra=infra,
-                )
-            return True
-        if not worker.process.is_alive():
-            exitcode = worker.process.exitcode
-            worker.process.join()
-            worker.conn.close()
-            settle(
-                worker.index, worker.attempt, "error", elapsed,
-                error=f"worker crashed (exit code {exitcode})", infra=True,
-            )
-            return True
-        if worker.deadline is not None and now >= worker.deadline:
-            worker.process.terminate()
-            worker.process.join()
-            worker.conn.close()
-            settle(
-                worker.index, worker.attempt, "timeout", elapsed,
-                error="trial exceeded trial_timeout_s="
-                      f"{self.trial_timeout_s}",
-                infra=True,
-            )
-            return True
-        return False
 
     # -- telemetry ----------------------------------------------------------
 
@@ -603,7 +418,7 @@ class TrialRunner:
 
         Backends call this eagerly for successes; :meth:`run` flushes
         everything else at the end.  Dedupe by key identity is what makes
-        both safe: degradation ladders re-run trials, and a re-run of an
+        both safe: a degraded campaign re-runs trials, and a re-run of an
         already-emitted key must not reach the consumer twice.  The
         outcome's ``index`` may still be dense (backend-relative) when
         emitted eagerly — streaming consumers identify trials by key.

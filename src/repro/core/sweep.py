@@ -134,10 +134,10 @@ def sweep_scenario(
     definition is rejected, not merged.
 
     The scenario's ``backend``/``lease_ttl_s`` fields choose the
-    execution backend (``"auto"``, ``"local-serial"``, ``"local-process"``,
-    ``"local-supervised"`` or ``"dir-queue"``) and its lease duration;
-    ``queue_dir``/``quarantine_after`` configure the shared-directory
-    queue — see :mod:`repro.core.backend` and :mod:`repro.core.distq`.
+    execution backend (``"auto"``, ``"local-serial"`` or ``"dir-queue"``)
+    and its lease duration; ``queue_dir``/``quarantine_after`` configure
+    the job-queue directory — see :mod:`repro.core.backend` and
+    :mod:`repro.core.distq`.
     """
     if trials < 1:
         raise ConfigError(f"trials must be >= 1, got {trials}")
@@ -177,7 +177,6 @@ def sweep_scenario(
         lease_ttl_s=base.lease_ttl_s,
         queue_dir=base.queue_dir,
         quarantine_after=base.quarantine_after,
-        retry_seed=base.seed,
     )
     try:
         outcomes = runner.run(specs, journal=journal)

@@ -9,18 +9,14 @@ rules that make that guarantee hold).
 Built-in backends:
 
 ``auto`` (the scenario default)
-    Best available: ``$REPRO_KERNELS`` override if set, else numba,
-    else generated C (``cjit``), else the numpy ``vector`` backend.
-    The probing is silent — ``auto`` means "whatever runs here".
+    Best available: generated C (``cjit``), else the numpy ``vector``
+    backend.  The probing is silent — ``auto`` means "whatever runs
+    here".
 ``python``
     The explicit-loop reference (ground truth for identity tests).
 ``vector``
     The numpy expressions the components ran inline before this
     package existed; always available.
-``numba``
-    ``@njit`` over the reference loops; warns once and falls back to
-    ``python`` when numba is not installed (per-loop bit-identity is
-    preserved by the no-RNG / no-transcendentals kernel rules).
 ``cjit``
     A generated-C translation compiled with the system C compiler;
     warns once and falls back to ``vector`` when no compiler exists.
@@ -32,7 +28,6 @@ make them stateful but cheap to share; runs are single-threaded), so
 
 from __future__ import annotations
 
-import os
 import warnings
 from typing import Dict, Set
 
@@ -81,17 +76,6 @@ def make_vector(scenario=None) -> KernelBackend:
     return VectorBackend()
 
 
-@register("kernels", "numba")
-def make_numba(scenario=None) -> KernelBackend:
-    """Numba ``@njit`` kernels; python fallback when numba is absent."""
-    from repro.kernels.numba_backend import NumbaBackend
-
-    try:
-        return NumbaBackend()
-    except KernelUnavailable as exc:
-        return _fallback("numba", "python", str(exc))
-
-
 @register("kernels", "cjit")
 def make_cjit(scenario=None) -> KernelBackend:
     """Generated-C kernels; vector fallback when no compiler exists."""
@@ -105,23 +89,13 @@ def make_cjit(scenario=None) -> KernelBackend:
 
 @register("kernels", "auto")
 def make_auto(scenario=None) -> KernelBackend:
-    """Best backend that runs here (env override, numba, cjit, vector)."""
-    override = os.environ.get("REPRO_KERNELS")
-    if override:
-        return resolve_backend(override)
-    try:
-        from repro.kernels.numba_backend import NumbaBackend
+    """Best backend that runs here (cjit, else vector)."""
+    from repro.kernels.cjit import CjitBackend
 
-        return NumbaBackend()
-    except KernelUnavailable:
-        pass
     try:
-        from repro.kernels.cjit import CjitBackend
-
         return CjitBackend()
     except KernelUnavailable:
-        pass
-    return VectorBackend()
+        return VectorBackend()
 
 
 def resolve_backend(spec="auto") -> KernelBackend:

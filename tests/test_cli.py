@@ -251,19 +251,15 @@ def test_resume_without_journal_names_the_missing_flag(capsys):
     assert "--journal" in err  # the usage hint names the fix
 
 
-def test_sweep_supervised_backend_matches_default(tmp_path, capsys):
-    base = ["sweep", "--field", "num_nodes", "--values", "10,12", *SMALL]
-    assert main(base) == 0
-    default_out = capsys.readouterr().out
-    assert main([
-        *base, "--workers", "2", "--backend", "local-supervised",
-        "--lease-ttl", "20", "--max-retries", "2",
-    ]) == 0
-    supervised_out = capsys.readouterr().out
-    # Identical aggregates: the backend affects failure handling only.
-    table = [l for l in default_out.splitlines() if l.startswith(" ")]
-    sup_table = [l for l in supervised_out.splitlines() if l.startswith(" ")]
-    assert table == sup_table
+def test_sweep_deleted_backend_fails_with_live_choices(capsys):
+    code = main([
+        "sweep", "--field", "num_nodes", "--values", "10", *SMALL,
+        "--workers", "2", "--backend", "local-supervised",
+    ])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "local-supervised" in err
+    assert "dir-queue" in err and "local-serial" in err
 
 
 def test_negative_max_retries_rejected(capsys):
@@ -279,7 +275,7 @@ def test_components_lists_backend_namespace(capsys):
     assert main(["components"]) == 0
     out = capsys.readouterr().out
     assert "backend (execution backend" in out
-    assert "local-supervised" in out
+    assert "dir-queue" in out
 
 
 def test_components_lists_every_registered_namespace(capsys):
@@ -310,7 +306,7 @@ def test_journal_inspect_and_compact_commands(tmp_path, capsys):
     journal = str(tmp_path / "sweep.jsonl")
     assert main([
         "sweep", "--field", "num_nodes", "--values", "10,12", *SMALL,
-        "--workers", "2", "--backend", "local-supervised",
+        "--workers", "2", "--backend", "dir-queue",
         "--journal", journal,
     ]) == 0
     capsys.readouterr()
@@ -329,7 +325,7 @@ def test_journal_inspect_and_compact_commands(tmp_path, capsys):
     # the resume must name the same one.)
     assert main([
         "sweep", "--field", "num_nodes", "--values", "10,12", *SMALL,
-        "--workers", "2", "--backend", "local-supervised",
+        "--workers", "2", "--backend", "dir-queue",
         "--journal", journal, "--resume",
     ]) == 0
     assert "2 resumed from journal" in capsys.readouterr().out
@@ -398,22 +394,29 @@ def test_sweep_dir_queue_backend_matches_default(tmp_path, capsys):
 
 
 def test_journal_inspect_quarantined_exits_3(tmp_path, capsys):
-    from repro.core.journal import TrialJournal, campaign_fingerprint
+    """Inspect (and compact) a journal written by the earlier supervised
+    backend: lease/heartbeat/event lines are reported as legacy, the
+    quarantine still makes inspect exit 3."""
+    import shutil
+    from pathlib import Path
 
-    path = str(tmp_path / "poison.jsonl")
-    fp = campaign_fingerprint(kind="test", what="cli-quarantine")
-    with TrialJournal(path, fp) as journal:
-        journal.record_lease(
-            (1, 0), "vm-a:11:1", 1, ttl_s=3600.0,
-            host="vm-a", pid=11, token=2,
-        )
-        journal.record_quarantine(
-            (0, 0), owners=["vm-a:11:1", "vm-b:22:2"], attempts=2,
-            traceback_text="Fatal Python error: Aborted",
-        )
+    path = str(tmp_path / "legacy.jsonl")
+    shutil.copy(
+        Path(__file__).parent / "fixtures" / "legacy_supervised_journal.jsonl",
+        path,
+    )
     assert main(["journal", "inspect", path]) == 3
     out = capsys.readouterr().out
+    assert "trials ok       : 3" in out
+    assert "legacy          : 13" in out
     assert "quarantined" in out
-    assert "fencing token 2" in out
     assert "vm-a" in out and "vm-b:22:2" in out
+    assert "Fatal Python error" in out
+
+    assert main(["journal", "compact", path]) == 0
+    assert "compacted" in capsys.readouterr().out
+    assert main(["journal", "inspect", path]) == 3
+    out = capsys.readouterr().out
+    assert "legacy          :" not in out
+    assert "trials ok       : 3" in out
     assert "Fatal Python error" in out

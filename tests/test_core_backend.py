@@ -1,10 +1,13 @@
 """Execution backends: registry wiring, supervision, and bit-identity.
 
 The contract under test is the tentpole one: every backend returns the
-exact values of an undisturbed serial run — supervision (leases,
-heartbeats, retries, circuit breaking) changes *failure handling*, never
-results.  Chaos sabotage (SIGKILL, hang, corrupt, heartbeat mute, lease
-contention) is the adversary; serial execution is the ground truth.
+exact values of an undisturbed serial run — supervision (claims,
+heartbeats, hung-worker kills, retries, degradation) changes *failure
+handling*, never results.  Chaos sabotage (SIGKILL, hang, corrupt,
+heartbeat mute, lease contention) is the adversary; serial execution is
+the ground truth.  The supervision itself lives in the dir-queue
+backend (:mod:`repro.core.distq`), which ``auto`` picks for more than
+one worker.
 """
 
 import time
@@ -12,14 +15,9 @@ import time
 import pytest
 
 from repro.core import registry
-from repro.core.backend import (
-    LocalProcessBackend,
-    LocalSerialBackend,
-    SupervisedBackend,
-    retry_backoff_schedule,
-)
+from repro.core.backend import LocalSerialBackend
 from repro.core.chaos import ChaosMonkey
-from repro.core.journal import campaign_fingerprint, open_journal
+from repro.core.distq import DirQueue, DirQueueBackend
 from repro.core.runner import TrialRunner, TrialSpec
 from repro.metrics.collector import CampaignTelemetry
 from repro.util.errors import ConfigError
@@ -49,23 +47,21 @@ TRUTH = [i * i for i in range(6)]
 
 
 def test_backend_namespace_registered():
-    names = set(registry.known("backend"))
-    assert {"auto", "local-serial", "local-process", "local-supervised"} <= (
-        names
-    )
+    assert set(registry.known("backend")) == {
+        "auto", "local-serial", "dir-queue",
+    }
 
 
 def test_auto_picks_serial_for_one_worker_and_pool_otherwise():
     factory = registry.resolve("backend", "auto")
     assert isinstance(factory(TrialRunner(max_workers=1)), LocalSerialBackend)
-    assert isinstance(factory(TrialRunner(max_workers=3)), LocalProcessBackend)
+    assert isinstance(factory(TrialRunner(max_workers=3)), DirQueueBackend)
 
 
 def test_named_backends_resolve_to_their_classes():
     for name, cls in (
         ("local-serial", LocalSerialBackend),
-        ("local-process", LocalProcessBackend),
-        ("local-supervised", SupervisedBackend),
+        ("dir-queue", DirQueueBackend),
     ):
         backend = registry.resolve("backend", name)(TrialRunner())
         assert isinstance(backend, cls)
@@ -77,25 +73,31 @@ def test_unknown_backend_rejected_at_construction():
         TrialRunner(backend="teleport")
 
 
+@pytest.mark.parametrize("name", ["local-process", "local-supervised"])
+def test_deleted_backends_rejected_with_live_choices(name):
+    with pytest.raises(ConfigError, match="dir-queue") as info:
+        TrialRunner(backend=name)
+    assert "local-serial" in str(info.value)
+
+
 def test_supervision_parameters_validated():
     with pytest.raises(ConfigError, match="lease_ttl_s"):
         TrialRunner(lease_ttl_s=0)
     with pytest.raises(ConfigError, match="heartbeat_interval_s"):
         TrialRunner(heartbeat_interval_s=-1)
-    with pytest.raises(ConfigError, match="max_lease_extensions"):
-        TrialRunner(max_lease_extensions=-1)
-    with pytest.raises(ConfigError, match="breaker_threshold"):
-        TrialRunner(breaker_threshold=0)
-    with pytest.raises(ConfigError, match="campaign_retry_budget"):
-        TrialRunner(campaign_retry_budget=-1)
+    with pytest.raises(ConfigError, match="quarantine_after"):
+        TrialRunner(quarantine_after=0)
+    for knob in ("breaker_threshold", "max_lease_extensions", "retry_seed",
+                 "retry_backoff_base_s", "retry_backoff_cap_s",
+                 "campaign_retry_budget"):
+        with pytest.raises(TypeError):
+            TrialRunner(**{knob: 1})
 
 
 # -- bit-identity across backends ---------------------------------------------
 
 
-@pytest.mark.parametrize(
-    "backend", ["local-serial", "local-process", "local-supervised"]
-)
+@pytest.mark.parametrize("backend", ["local-serial", "dir-queue", "auto"])
 def test_every_backend_matches_serial_truth(backend):
     outcomes = TrialRunner(
         max_workers=2, backend=backend, trial_timeout_s=30.0
@@ -105,10 +107,8 @@ def test_every_backend_matches_serial_truth(backend):
 
 def test_supervised_grants_one_lease_per_trial():
     telemetry = CampaignTelemetry()
-    TrialRunner(
-        max_workers=2, backend="local-supervised", telemetry=telemetry
-    ).run(_specs())
-    assert telemetry.leases_granted == 6
+    TrialRunner(max_workers=2, telemetry=telemetry).run(_specs())
+    assert telemetry.claims_won == 6
     assert telemetry.leases_reclaimed == 0
 
 
@@ -120,7 +120,6 @@ def test_supervised_survives_sigkill_corrupt_and_hang():
     chaos = ChaosMonkey(kill_on={0}, corrupt_on={1}, hang_on={2})
     outcomes = TrialRunner(
         max_workers=2,
-        backend="local-supervised",
         trial_timeout_s=1.0,
         lease_ttl_s=5.0,
         max_attempts=3,
@@ -130,16 +129,16 @@ def test_supervised_survives_sigkill_corrupt_and_hang():
     assert _values(outcomes) == TRUTH
     assert telemetry.leases_reclaimed >= 3  # one per sabotaged trial
     assert telemetry.retries == 3
+    assert telemetry.timeouts == 1
 
 
 def test_supervised_kills_muted_worker_as_hung():
-    """Heartbeat suppression: the monitor must SIGKILL, not wait out TTL."""
+    """Heartbeat suppression: the scheduler must SIGKILL, not wait out TTL."""
     telemetry = CampaignTelemetry()
     chaos = ChaosMonkey(mute_on={1})
     started = time.monotonic()
     outcomes = TrialRunner(
         max_workers=2,
-        backend="local-supervised",
         lease_ttl_s=60.0,  # the lease alone would stall for a minute
         heartbeat_interval_s=0.05,
         max_attempts=2,
@@ -153,21 +152,34 @@ def test_supervised_kills_muted_worker_as_hung():
     assert elapsed < 30.0  # caught by missed heartbeats, not the lease TTL
 
 
+def test_supervised_kills_the_only_hung_worker():
+    """With one worker there is no peer to reclaim a hung trial: the
+    scheduler's own heartbeat watch must still finish the campaign."""
+    chaos = ChaosMonkey(mute_on={0})
+    outcomes = TrialRunner(
+        max_workers=1,
+        backend="dir-queue",
+        lease_ttl_s=60.0,
+        heartbeat_interval_s=0.05,
+        chaos=chaos,
+    ).run(_specs(3))
+    assert _values(outcomes) == TRUTH[:3]
+
+
 def test_supervised_extends_lease_for_slow_but_alive_worker():
-    """Healthy heartbeats past the lease deadline mean *slow*, not hung."""
+    """Healthy heartbeats past the lease TTL mean *slow*, not hung."""
     telemetry = CampaignTelemetry()
     specs = [TrialSpec(key=0, fn=_slow_square, args=(3, 0.6))]
     outcomes = TrialRunner(
         max_workers=2,
-        backend="local-supervised",
         lease_ttl_s=0.15,
         heartbeat_interval_s=0.03,
-        max_lease_extensions=10,
         telemetry=telemetry,
     ).run(specs)
     assert _values(outcomes) == [9]
-    assert outcomes[0].attempts == 1  # never killed, only extended
-    assert telemetry.leases_extended >= 1
+    assert outcomes[0].attempts == 1  # never reclaimed: the beats kept it
+    assert telemetry.leases_reclaimed == 0
+    assert telemetry.heartbeats_missed == 0
 
 
 def test_supervised_waits_out_and_reclaims_contended_lease():
@@ -175,8 +187,7 @@ def test_supervised_waits_out_and_reclaims_contended_lease():
     chaos = ChaosMonkey(contend_on={2})
     outcomes = TrialRunner(
         max_workers=2,
-        backend="local-supervised",
-        lease_ttl_s=5.0,
+        lease_ttl_s=0.5,
         telemetry=telemetry,
         chaos=chaos,
     ).run(_specs())
@@ -188,150 +199,52 @@ def test_supervised_waits_out_and_reclaims_contended_lease():
     assert sum(1 for o in outcomes if o.key == 2) == 1
 
 
-# -- deterministic retry schedule ---------------------------------------------
-
-
-def test_retry_backoff_schedule_is_pure_and_bounded():
-    a = retry_backoff_schedule(7, ("rho", 3), 5, base_s=0.05, cap_s=2.0)
-    b = retry_backoff_schedule(7, ("rho", 3), 5, base_s=0.05, cap_s=2.0)
-    assert a == b
-    assert len(a) == 4
-    for k, delay in enumerate(a):
-        ceiling = min(2.0, 0.05 * 2**k)
-        assert 0.5 * ceiling <= delay < ceiling
-    # Different trials and different seeds get different jitter.
-    assert a != retry_backoff_schedule(7, ("rho", 4), 5)
-    assert a != retry_backoff_schedule(8, ("rho", 3), 5)
-
-
-def _retry_events(workers):
-    telemetry = CampaignTelemetry()
-    chaos = ChaosMonkey(kill_on={1, 3})
-    TrialRunner(
-        max_workers=workers,
-        backend="local-supervised",
-        lease_ttl_s=5.0,
-        max_attempts=3,
-        retry_seed=11,
-        retry_backoff_base_s=0.001,  # keep the test fast
-        telemetry=telemetry,
-        chaos=chaos,
-    ).run(_specs())
-    return sorted(
-        (e.key, e.detail)
-        for e in telemetry.events
-        if e.kind == "retry-backoff"
-    )
-
-
-def test_retry_schedule_identical_across_worker_counts():
-    serial_like = _retry_events(workers=1)
-    parallel = _retry_events(workers=4)
-    assert serial_like == parallel
-    assert len(serial_like) == 2  # one backoff per killed trial
-
-
-# -- circuit breaker and degradation ladder -----------------------------------
+# -- degradation --------------------------------------------------------------
 
 
 def test_breaker_trip_completes_campaign_via_degradation():
+    """Workers dying faster than the respawn budget covers trip the
+    backend off the queue; in-process serial finishes the campaign."""
     telemetry = CampaignTelemetry()
     chaos = ChaosMonkey(kill_all_attempts_on={0, 1, 2})
     outcomes = TrialRunner(
         max_workers=2,
-        backend="local-supervised",
         lease_ttl_s=5.0,
-        max_attempts=2,
-        breaker_threshold=3,
-        retry_backoff_base_s=0.001,
+        max_attempts=10,  # keep attempt exhaustion out of this test
+        quarantine_after=10,  # ... and quarantine
         telemetry=telemetry,
         chaos=chaos,
     ).run(_specs())
-    # Sabotage killed every attempt of three trials, yet degradation
-    # (chaos-free pool, then serial rescue) still completes everything.
     assert _values(outcomes) == TRUTH
-    assert telemetry.breaker_trips == 1
-    assert telemetry.degradations >= 1
+    degraded = [e for e in telemetry.events if e.kind == "degraded"]
+    assert len(degraded) == 1
+    assert "respawn budget" in degraded[0].detail
 
 
-def test_campaign_retry_budget_caps_total_retries():
-    telemetry = CampaignTelemetry()
-    chaos = ChaosMonkey(kill_on={0, 1, 2, 3})
-    outcomes = TrialRunner(
-        max_workers=2,
-        backend="local-supervised",
-        lease_ttl_s=5.0,
-        max_attempts=3,
-        campaign_retry_budget=2,
-        breaker_threshold=100,  # keep the breaker out of this test
-        retry_backoff_base_s=0.001,
-        telemetry=telemetry,
-        chaos=chaos,
-    ).run(_specs())
-    # Budget allowed only two retries; the serial rescue still recovers
-    # the trials whose retries were denied (they failed as infra).
-    assert _values(outcomes) == TRUTH
-    assert telemetry.retries == 2
-    kinds = [e.kind for e in telemetry.events]
-    assert "retry-budget-exhausted" in kinds
-
-
-# -- journal integration ------------------------------------------------------
-
-
-def test_supervised_journals_leases_and_resumes_bit_identically(tmp_path):
-    path = str(tmp_path / "sup.jsonl")
-    fingerprint = campaign_fingerprint(kind="backend-test", n=6)
-    chaos = ChaosMonkey(kill_on={1}, kill_all_attempts_on={4})
-    journal = open_journal(path, fingerprint, resume=False)
-    try:
-        first = TrialRunner(
-            max_workers=2,
-            backend="local-supervised",
-            lease_ttl_s=5.0,
-            max_attempts=2,
-            retry_backoff_base_s=0.001,
-            chaos=chaos,
-        ).run(_specs(), journal=journal)
-    finally:
-        journal.close()
-    assert _values(first) == TRUTH  # serial rescue saved trial 4
-
-    journal = open_journal(path, fingerprint, resume=True)
-    telemetry = CampaignTelemetry()
-    try:
-        second = TrialRunner(
-            max_workers=2, backend="local-supervised", telemetry=telemetry
-        ).run(_specs(), journal=journal)
-    finally:
-        journal.close()
-    assert _values(second) == TRUTH
-    assert telemetry.trials_resumed == 6  # nothing re-ran
+# -- a foreign claim left in a shared queue dir -------------------------------
 
 
 def test_expired_foreign_lease_is_reclaimed_not_double_run(tmp_path):
-    """A lease left by a dead owner delays the trial but never duplicates
-    it: exactly one fresh result, counted once."""
-    path = str(tmp_path / "lease.jsonl")
-    fingerprint = campaign_fingerprint(kind="backend-test", n=6)
-    journal = open_journal(path, fingerprint, resume=False)
-    journal.record_lease(2, "dead-owner", 1, ttl_s=0.2)
-    journal.close()
+    """A claim left by a dead foreign owner delays the trial but never
+    duplicates it: exactly one fresh result, counted once."""
+    from repro.core.distq import _specs_fingerprint
 
-    time.sleep(0.25)  # let the foreign lease expire
-    journal = open_journal(path, fingerprint, resume=True)
+    queue_dir = str(tmp_path / "q")
+    queue = DirQueue(queue_dir, ttl_s=0.2)
+    queue.setup({"fingerprint": _specs_fingerprint(_specs()), "ttl_s": 0.2})
+    queue.try_claim_fresh(DirQueue.task_id(2), "dead-host:1:1")
+
     telemetry = CampaignTelemetry()
-    try:
-        outcomes = TrialRunner(
-            max_workers=2,
-            backend="local-supervised",
-            lease_ttl_s=5.0,
-            telemetry=telemetry,
-        ).run(_specs(), journal=journal)
-    finally:
-        journal.close()
+    outcomes = TrialRunner(
+        max_workers=2,
+        backend="dir-queue",
+        queue_dir=queue_dir,
+        lease_ttl_s=0.2,
+        telemetry=telemetry,
+    ).run(_specs())
     assert _values(outcomes) == TRUTH
     assert sum(1 for o in outcomes if o.key == 2) == 1
     assert any(
         e.kind == "lease-reclaimed" and e.key == 2 for e in telemetry.events
     )
+    assert queue.distinct_deaths(DirQueue.task_id(2)) == ["dead-host:1:1"]

@@ -9,7 +9,6 @@ once, a stale (fenced-out) worker can never overwrite a reclaimer's
 result, and the dir-queue backend stays bit-identical to serial truth.
 """
 
-import json
 import multiprocessing
 import os
 import signal
@@ -518,16 +517,17 @@ def test_corrupt_result_drop_releases_claim_without_charging_deaths(tmp_path):
         handle.write(b"\x80torn page")  # corrupt it on disk
     with pytest.raises(Exception):
         queue.read_result(tid)
-    queue.drop_result(tid)
+    queue.drop_result(tid, "result could not be unpickled")
     after = queue.read_claim(tid)
     assert after.released
     assert after.token == claim.token
-    assert after.attempt == claim.attempt  # infra fault: attempt not charged
+    assert after.attempt == claim.attempt + 1  # a failed attempt...
+    assert "unpickled" in queue.last_traceback(tid)
     # The re-run takes the released path: no TTL wait, no death recorded.
     committed = run_worker_loop(root, poll_interval_s=0.02)
     assert committed == 1
     assert queue.read_result(tid)["value"] == 4
-    assert queue.distinct_deaths(tid) == []
+    assert queue.distinct_deaths(tid) == []  # ...but no death
 
 
 def test_clean_trial_errors_bounded_by_max_attempts(tmp_path):
@@ -600,41 +600,10 @@ def test_poison_trial_quarantined_and_skipped_on_resume(tmp_path):
     )  # nothing was enqueued for the second run at all
 
 
-def test_journal_mirrors_lease_host_pid_and_fencing_token(tmp_path):
-    path = str(tmp_path / "campaign.jsonl")
-    fingerprint = campaign_fingerprint(kind="distq-test", n=3)
-    journal = open_journal(path, fingerprint, resume=False)
-    try:
-        TrialRunner(
-            max_workers=2,
-            backend="dir-queue",
-            queue_dir=str(tmp_path / "q"),
-            lease_ttl_s=5.0,
-        ).run(_specs(3), journal=journal)
-    finally:
-        journal.close()
-    from repro.core.journal import read_lease_state
-
-    # Completed trials supersede their leases; re-read the raw stream to
-    # check what the scheduler transcribed while they ran.
-    mirrored = 0
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            record = json.loads(line)
-            if record.get("kind") != "lease":
-                continue
-            mirrored += 1
-            assert record["token"] >= 1
-            assert record["pid"] > 0
-            assert record["host"]
-    assert mirrored >= 3
-    assert read_lease_state(path) == {}  # all settled
-
-
 # -- degradation: the shared directory stops cooperating ----------------------
 
 
-def test_unwritable_queue_dir_degrades_to_supervised(tmp_path, monkeypatch):
+def test_unwritable_queue_dir_degrades_to_serial(tmp_path, monkeypatch):
     telemetry = CampaignTelemetry()
     monkeypatch.setattr(
         DirQueueBackend, "_probe_writable", staticmethod(lambda root: False)
@@ -649,9 +618,10 @@ def test_unwritable_queue_dir_degrades_to_supervised(tmp_path, monkeypatch):
     assert _values(outcomes) == TRUTH  # the campaign still completes
     degraded = [e for e in telemetry.events if e.kind == "degraded"]
     assert degraded and "no longer writable" in degraded[0].detail
+    assert "dir-queue->local-serial" in degraded[0].detail
 
 
-def test_stat_latency_spikes_degrade_to_supervised(tmp_path, monkeypatch):
+def test_stat_latency_spikes_degrade_to_serial(tmp_path, monkeypatch):
     telemetry = CampaignTelemetry()
     monkeypatch.setattr(distq, "STAT_LATENCY_BUDGET_S", 0.005)
 
@@ -675,6 +645,7 @@ def test_stat_latency_spikes_degrade_to_supervised(tmp_path, monkeypatch):
     assert _values(outcomes) == TRUTH
     degraded = [e for e in telemetry.events if e.kind == "degraded"]
     assert degraded and "stat latency" in degraded[0].detail
+    assert "dir-queue->local-serial" in degraded[0].detail
 
 
 def test_unpicklable_specs_degrade_instead_of_dying(tmp_path):
@@ -687,7 +658,7 @@ def test_unpicklable_specs_degrade_instead_of_dying(tmp_path):
         queue_dir=str(tmp_path / "q"),
         telemetry=telemetry,
     ).run(specs)
-    assert _values(outcomes) == [9]  # the fork-based ladder handles it
+    assert _values(outcomes) == [9]  # in-process serial execution handles it
     assert any(e.kind == "degraded" for e in telemetry.events)
 
 
@@ -703,6 +674,59 @@ def test_stream_yields_each_key_exactly_once_over_dir_queue(tmp_path):
     )
     seen = [outcome.key for outcome in runner.stream(_specs())]
     assert sorted(seen) == list(range(6))
+
+
+# -- the private queue directory does not outlive its campaign ----------------
+
+
+@pytest.fixture
+def private_tempdir(tmp_path, monkeypatch):
+    """Point ``tempfile`` (and so every ephemeral queue) at ``tmp_path``."""
+    import tempfile
+
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    return root
+
+
+def test_ephemeral_queue_dir_removed_after_plain_campaign(private_tempdir):
+    outcomes = TrialRunner(max_workers=2).run(_specs())
+    assert _values(outcomes) == TRUTH
+    assert list(private_tempdir.iterdir()) == []
+
+
+def test_ephemeral_queue_dir_removed_after_chaos_campaign(private_tempdir):
+    chaos = ChaosMonkey(kill_on={0}, corrupt_on={1}, kill_all_attempts_on={2})
+    outcomes = TrialRunner(
+        max_workers=2, lease_ttl_s=5.0, chaos=chaos
+    ).run(_specs())
+    assert [o.value for o in outcomes if o.key != 2] == [
+        v for i, v in enumerate(TRUTH) if i != 2
+    ]
+    assert not outcomes[2].ok and outcomes[2].infrastructure
+    assert list(private_tempdir.iterdir()) == []
+
+
+def test_ephemeral_queue_dir_removed_after_degrade(private_tempdir,
+                                                   monkeypatch):
+    monkeypatch.setattr(
+        DirQueueBackend, "_probe_writable", staticmethod(lambda root: False)
+    )
+    assert _values(TrialRunner(max_workers=2).run(_specs())) == TRUTH
+    assert list(private_tempdir.iterdir()) == []
+
+
+def test_ephemeral_queue_dir_removed_after_interrupt(private_tempdir,
+                                                     monkeypatch):
+    """Ctrl-C in the scheduler: workers reaped, then the dir removed."""
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(DirQueueBackend, "_collect", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        TrialRunner(max_workers=2).run(_specs())
+    assert list(private_tempdir.iterdir()) == []
 
 
 def test_worker_loop_returns_when_nothing_to_serve(tmp_path):

@@ -8,6 +8,8 @@ campaign is rejected, never merged.
 """
 
 import json
+import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -360,55 +362,101 @@ def test_monte_carlo_resume_matches_fresh(tmp_path):
     np.testing.assert_array_equal(resumed.mean, truth.mean)
 
 
-# -- supervision records: leases, heartbeats, events --------------------------
+# -- legacy supervision records: leases, heartbeats, events -------------------
 
 
-def test_lease_records_supersede_and_trials_release(tmp_path):
-    from repro.core.journal import read_lease_state
-
-    path = str(tmp_path / "lease.jsonl")
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "owner-a", 1, ttl_s=60.0)
-        journal.record_lease((0, 0), "owner-b", 2, ttl_s=60.0)  # supersedes
-        journal.record_lease((1, 0), "owner-a", 1, ttl_s=60.0)
-        journal.record_success((1, 0), 1, attempts=1, wall_clock_s=0.1)
-    leases = read_lease_state(path, FP)
-    # Trial (1,0) completed, so its lease is released; (0,0) holds the
-    # *latest* claim only.
-    assert set(leases) == {trial_key_id((0, 0))}
-    lease = leases[trial_key_id((0, 0))]
-    assert lease.owner == "owner-b"
-    assert lease.attempt == 2
-    assert not lease.expired()
-
-
-def test_lease_expiry_is_wall_clock(tmp_path):
-    path = str(tmp_path / "lease.jsonl")
-    with TrialJournal(path, FP) as journal:
-        lease = journal.record_lease((0, 0), "o", 1, ttl_s=0.05)
-    assert not lease.expired(now=lease.deadline_unix - 0.01)
-    assert lease.expired(now=lease.deadline_unix)
-
-
-def test_resume_loads_live_lease_state(tmp_path):
-    path = str(tmp_path / "lease.jsonl")
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "prior-owner", 1, ttl_s=3600.0)
-    with TrialJournal(path, FP, resume=True) as journal:
-        assert trial_key_id((0, 0)) in journal.leases
-        assert journal.leases[trial_key_id((0, 0))].owner == "prior-owner"
+def _append_legacy(path, key):
+    """Lease/heartbeat/event lines as earlier versions wrote them."""
+    key_id = trial_key_id(key)
+    with open(path, "a", encoding="utf-8") as handle:
+        for record in (
+            {"kind": "lease", "key": key_id, "owner": "o", "attempt": 1,
+             "deadline": 1.0e12},
+            {"kind": "heartbeat", "key": key_id, "owner": "o", "seq": 1,
+             "t": 0.0},
+            {"kind": "event", "event": "degraded",
+             "detail": "local-process->local-serial", "t": 0.0},
+        ):
+            handle.write(json.dumps(record, separators=(",", ":")) + "\n")
 
 
 def test_supervision_records_are_invisible_to_read_completed(tmp_path):
     path = str(tmp_path / "mixed.jsonl")
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "o", 1, ttl_s=60.0)
-        journal.record_heartbeat((0, 0), "o", seq=1)
-        journal.record_campaign_event("degraded", "supervised->process")
+    TrialJournal(path, FP).close()
+    _append_legacy(path, (0, 0))
+    with TrialJournal(path, FP, resume=True) as journal:
         journal.record_success((0, 0), 42, attempts=1, wall_clock_s=0.1)
     completed = read_completed(path, FP)
     assert completed[trial_key_id((0, 0))].value == 42
     assert len(completed) == 1
+
+
+#: A journal written by the earlier ``local-supervised`` backend: trial,
+#: lease, heartbeat and event lines from a 3-trial campaign (trial 1 was
+#: killed, failed and re-run serially) plus a quarantine of trial 3.
+LEGACY_JOURNAL = (
+    Path(__file__).parent / "fixtures" / "legacy_supervised_journal.jsonl"
+)
+LEGACY_FP = campaign_fingerprint(kind="legacy-supervised-fixture", n=4)
+
+
+def _legacy_specs():
+    return [
+        TrialSpec(key=("legacy", i), fn=_square, args=(i,)) for i in range(5)
+    ]
+
+
+def _resume_legacy(path):
+    journal = open_journal(path, LEGACY_FP, resume=True)
+    telemetry = CampaignTelemetry()
+    try:
+        outcomes = TrialRunner(max_workers=2, telemetry=telemetry).run(
+            _legacy_specs(), journal=journal
+        )
+    finally:
+        journal.close()
+    return outcomes, telemetry
+
+
+def test_legacy_supervised_journal_still_resumes(tmp_path):
+    path = str(tmp_path / "legacy.jsonl")
+    shutil.copy(LEGACY_JOURNAL, path)
+    with open_journal(path, LEGACY_FP, resume=True) as journal:
+        assert {
+            key: entry.value for key, entry in journal.completed.items()
+        } == {trial_key_id(("legacy", i)): i * i for i in range(3)}
+        assert set(journal.quarantined) == {trial_key_id(("legacy", 3))}
+    outcomes, telemetry = _resume_legacy(path)
+    assert telemetry.trials_resumed == 3
+    assert [o.value for o in outcomes if o.ok] == [0, 1, 4, 16]
+    assert outcomes[3].error.startswith("quarantined: killed 2 distinct")
+
+
+def test_legacy_supervised_journal_inspects_and_compacts(tmp_path):
+    from repro.core.journal import (
+        compact_journal,
+        inspect_journal,
+        read_quarantine,
+    )
+
+    path = str(tmp_path / "legacy.jsonl")
+    shutil.copy(LEGACY_JOURNAL, path)
+    stats = inspect_journal(path)
+    assert (stats.trials_ok, stats.trials_failed) == (3, 1)
+    assert stats.distinct_completed == 3
+    assert stats.legacy == 13
+    assert stats.quarantined == 1
+    completed = read_completed(path, LEGACY_FP)
+    parked = read_quarantine(path, LEGACY_FP)
+
+    compact_journal(path)
+    stats = inspect_journal(path)
+    assert (stats.legacy, stats.superseded, stats.trials_failed) == (0, 0, 0)
+    assert read_completed(path, LEGACY_FP) == completed
+    assert read_quarantine(path, LEGACY_FP) == parked
+    outcomes, telemetry = _resume_legacy(path)
+    assert telemetry.trials_resumed == 3
+    assert [o.value for o in outcomes if o.ok] == [0, 1, 4, 16]
 
 
 # -- inspect / compact --------------------------------------------------------
@@ -416,15 +464,12 @@ def test_supervision_records_are_invisible_to_read_completed(tmp_path):
 
 def _write_busy_journal(path):
     """A journal with superseded records worth compacting."""
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease((0, 0), "a", 1, ttl_s=60.0)
-        journal.record_heartbeat((0, 0), "a", seq=1)
-        journal.record_heartbeat((0, 0), "a", seq=2)
+    TrialJournal(path, FP).close()
+    _append_legacy(path, (0, 0))
+    with TrialJournal(path, FP, resume=True) as journal:
         journal.record_failure((0, 0), "first try died", attempts=1)
-        journal.record_lease((0, 0), "a", 2, ttl_s=60.0)
         journal.record_success((0, 0), 7, attempts=2, wall_clock_s=0.2)
-        journal.record_lease((1, 0), "a", 1, ttl_s=3600.0)
-        journal.record_campaign_event("breaker-open", "3 consecutive")
+    _append_legacy(path, (1, 0))
 
 
 def test_inspect_journal_counts_every_record_kind(tmp_path):
@@ -438,34 +483,27 @@ def test_inspect_journal_counts_every_record_kind(tmp_path):
     assert stats.trials_ok == 1
     assert stats.trials_failed == 1
     assert stats.distinct_completed == 1
-    assert stats.leases == 3
-    assert stats.live_leases == 1  # (1,0) was never completed
-    assert stats.heartbeats == 2
-    assert stats.events == 1
+    assert stats.legacy == 6  # lease + heartbeat + event, twice
     assert not stats.torn_tail
     assert stats.size_bytes > 0
-    assert stats.superseded > 0
+    assert stats.superseded == 7  # the legacy lines and the failure
 
 
 def test_compact_preserves_resume_state_and_shrinks(tmp_path):
-    from repro.core.journal import compact_journal, read_lease_state
+    from repro.core.journal import compact_journal, inspect_journal
 
     path = str(tmp_path / "busy.jsonl")
     _write_busy_journal(path)
     before_completed = read_completed(path, FP)
-    before_leases = read_lease_state(path, FP)
 
     bytes_before, bytes_after = compact_journal(path)
     assert bytes_after < bytes_before
 
     # Resume-relevant state is byte-for-byte what it was: completed
-    # values, live leases, and the fingerprint all survive.
+    # values and the fingerprint both survive.
     assert read_completed(path, FP) == before_completed
-    assert read_lease_state(path, FP) == before_leases
-    from repro.core.journal import inspect_journal
-
     stats = inspect_journal(path)
-    assert stats.heartbeats == 0  # heartbeats are always superseded
+    assert stats.legacy == 0  # legacy supervision lines are always dropped
     assert stats.superseded == 0  # nothing left to drop: idempotent
     again_before, again_after = compact_journal(path)
     assert again_before == again_after
@@ -493,7 +531,7 @@ def test_compacted_journal_resumes_a_real_campaign(tmp_path):
 
     journal = open_journal(path, FP, resume=False)
     try:
-        TrialRunner(max_workers=2, backend="local-supervised").run(
+        TrialRunner(max_workers=2, backend="dir-queue").run(
             specs[:3], journal=journal
         )
     finally:
@@ -504,7 +542,7 @@ def test_compacted_journal_resumes_a_real_campaign(tmp_path):
     telemetry = CampaignTelemetry()
     try:
         outcomes = TrialRunner(
-            max_workers=2, backend="local-supervised", telemetry=telemetry
+            max_workers=2, backend="dir-queue", telemetry=telemetry
         ).run(specs, journal=journal)
     finally:
         journal.close()
@@ -520,16 +558,14 @@ def test_quarantine_record_roundtrips_and_releases_lease(tmp_path):
 
     path = str(tmp_path / "poison.jsonl")
     with TrialJournal(path, FP) as journal:
-        journal.record_lease((3, 0), "vm-a:11:1", 1, ttl_s=60.0)
         record = journal.record_quarantine(
             (3, 0),
             owners=["vm-a:11:1", "vm-b:22:2", "vm-a:11:1"],
             attempts=2,
             traceback_text="Fatal Python error: Segmentation fault",
         )
-        # Duplicate owners collapse; the in-memory lease is released.
+        # Duplicate owners collapse.
         assert record.owners == ("vm-a:11:1", "vm-b:22:2")
-        assert trial_key_id((3, 0)) not in journal.leases
         assert journal.quarantined == {trial_key_id((3, 0)): record}
     parked = read_quarantine(path, FP)
     assert parked == {trial_key_id((3, 0)): record}
@@ -553,19 +589,6 @@ def test_resume_loads_quarantine_state(tmp_path):
         journal.record_quarantine((5, 0), owners=["a:1:1"], attempts=2)
     with TrialJournal(path, FP, resume=True) as journal:
         assert trial_key_id((5, 0)) in journal.quarantined
-
-
-def test_lease_records_carry_fencing_identity(tmp_path):
-    from repro.core.journal import read_lease_state
-
-    path = str(tmp_path / "fenced.jsonl")
-    with TrialJournal(path, FP) as journal:
-        journal.record_lease(
-            (0, 0), "nfs-a:77:2", 2, ttl_s=60.0,
-            host="nfs-a", pid=77, token=2,
-        )
-    lease = read_lease_state(path, FP)[trial_key_id((0, 0))]
-    assert (lease.host, lease.pid, lease.token) == ("nfs-a", 77, 2)
 
 
 def test_inspect_and_compact_preserve_quarantine(tmp_path):

@@ -88,11 +88,8 @@ def test_all_twelve_kinds_have_builtin_entries():
             "packet-blackhole",
         },
         "spatial": {"dense", "grid"},
-        "kernels": {"python", "vector", "numba", "cjit", "auto"},
-        "backend": {
-            "auto", "local-serial", "local-process", "local-supervised",
-            "dir-queue",
-        },
+        "kernels": {"python", "vector", "cjit", "auto"},
+        "backend": {"auto", "local-serial", "dir-queue"},
         "tech": {"80211-dsss", "80211p"},
         "effect": {"db-offset", "random-loss", "obstacle"},
         "queue": {"dir"},

@@ -91,7 +91,7 @@ scenario_dicts = st.fixed_dictionaries(
         # on every machine (unavailable toolchains fall back at build
         # time, not at configuration time).
         "kernels": st.sampled_from(
-            ["auto", "python", "vector", "numba", "cjit", "AUTO", "Python"]
+            ["auto", "python", "vector", "cjit", "AUTO", "Python"]
         ),
         # Execution backends: any spelling normalizes; the choice never
         # affects results, so every value is round-trip safe.
@@ -99,10 +99,9 @@ scenario_dicts = st.fixed_dictionaries(
             [
                 "auto",
                 "local-serial",
-                "local-process",
-                "local-supervised",
+                "dir-queue",
                 "AUTO",
-                "Local-Supervised",
+                "Dir-Queue",
             ]
         ),
         "lease_ttl_s": st.sampled_from([0.5, 5.0, 30.0, 300.0]),
@@ -208,10 +207,14 @@ def test_with_overrides_kernels_normalizes_case():
 
 def test_with_overrides_backend_normalizes_and_validates():
     # The CLI's `--backend` flag lands here as a scenario override.
-    s = Scenario().with_overrides({"backend": "Local-Supervised"})
-    assert s.backend == "local-supervised"
+    s = Scenario().with_overrides({"backend": "Dir-Queue"})
+    assert s.backend == "dir-queue"
     with pytest.raises(ConfigError, match="unknown execution backend"):
         Scenario().with_overrides({"backend": "teleport"})
+    # Backends deleted since scenario files could name them fail the
+    # same way, listing the live choices.
+    with pytest.raises(ConfigError, match="local-serial"):
+        Scenario().with_overrides({"backend": "local-supervised"})
     with pytest.raises(ConfigError, match="lease_ttl_s"):
         Scenario(lease_ttl_s=0.0)
 

@@ -7,14 +7,13 @@ through each method, compared elementwise against the pure-Python
 reference), per-model (full NaSch / multilane trajectories under a
 shared seed), and per-ledger (DcfBook's scalar updates versus its
 batched backend-routed sweeps).  Around the identity core sit the
-plumbing tests: warn-once fallback when numba is missing (an import
-blocker makes that deterministic on any machine), case-insensitive
-registry resolution, singleton caching, the ``REPRO_KERNELS``
-override, and pickling backends by name across a journal boundary.
+plumbing tests: warn-once fallback when no C compiler is available (a
+failing build hook makes that deterministic on any machine),
+case-insensitive registry resolution, singleton caching, and pickling
+backends by name across a journal boundary.
 """
 
 import pickle
-import sys
 import warnings
 
 import numpy as np
@@ -23,21 +22,23 @@ import pytest
 import repro.kernels as kernels_pkg
 from repro.ca.multilane import MultiLaneRoad
 from repro.ca.nasch import Boundary, NagelSchreckenberg
-from repro.kernels import DcfBook, KernelBackend, resolve_backend
+from repro.kernels import (
+    DcfBook, KernelBackend, KernelUnavailable, resolve_backend,
+)
 from repro.kernels.vector import VectorBackend
 
 
 def _distinct_backends():
     """One instance per distinct backend importable on this machine.
 
-    ``numba`` and ``cjit`` may silently resolve to their fallbacks
-    (python / vector) where the toolchain is missing; deduplicating by
-    resolved name keeps the identity sweep meaningful either way.
+    ``cjit`` may silently resolve to its ``vector`` fallback where no C
+    compiler exists; deduplicating by resolved name keeps the identity
+    sweep meaningful either way.
     """
     seen = {}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        for name in ("python", "vector", "numba", "cjit", "auto"):
+        for name in ("python", "vector", "cjit", "auto"):
             backend = resolve_backend(name)
             seen[backend.name] = backend
     return sorted(seen.values(), key=lambda b: b.name)
@@ -264,48 +265,44 @@ def test_dcf_book_cw_scalar_updates():
 # -- resolution, fallback, caching --------------------------------------------
 
 
-class _NumbaImportBlocker:
-    """Meta-path hook making ``import numba`` fail deterministically."""
-
-    def find_module(self, name, path=None):
-        return self if name == "numba" or name.startswith("numba.") else None
-
-    def find_spec(self, name, path=None, target=None):
-        if name == "numba" or name.startswith("numba."):
-            raise ImportError(f"{name} blocked by test fixture")
-        return None
-
-
 @pytest.fixture
-def no_numba(monkeypatch):
-    """Hide numba (even if installed) and clear the backend caches, so
-    the fallback path runs identically on every machine."""
-    blocker = _NumbaImportBlocker()
-    monkeypatch.setattr(sys, "meta_path", [blocker] + sys.meta_path)
-    for module in [m for m in sys.modules if
-                   m == "numba" or m.startswith("numba.")]:
-        monkeypatch.delitem(sys.modules, module)
+def no_compiler(monkeypatch):
+    """Make the C build fail (as on a machine without a compiler) and
+    clear the backend caches, so the fallback path runs identically on
+    every machine."""
+    import repro.kernels.cjit as cjit
+
+    def refuse():
+        raise KernelUnavailable("no C compiler found (test fixture)")
+
+    monkeypatch.setattr(cjit, "_build_library", refuse)
     monkeypatch.setattr(kernels_pkg, "_BACKENDS", {})
     monkeypatch.setattr(kernels_pkg, "_WARNED", set())
     yield
 
 
-def test_missing_numba_warns_once_and_falls_back(no_numba):
+def test_missing_compiler_warns_once_and_falls_back(no_compiler):
     with pytest.warns(RuntimeWarning, match="falling back"):
-        backend = resolve_backend("numba")
-    assert backend.name == "python"
+        backend = resolve_backend("cjit")
+    assert backend.name == "vector"
     assert not backend.compiled
     # Second resolution: cached, silent.
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        again = resolve_backend("numba")
+        again = resolve_backend("cjit")
     assert again is backend
 
 
-def test_missing_numba_fallback_is_bit_identical(no_numba):
+def test_missing_compiler_fallback_is_bit_identical(no_compiler):
     with pytest.warns(RuntimeWarning):
-        fallen = resolve_backend("numba")
+        fallen = resolve_backend("cjit")
     assert _nasch_trajectory(fallen) == _nasch_trajectory("python")
+
+
+def test_auto_without_compiler_is_silently_vector(no_compiler):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert resolve_backend("auto").name == "vector"
 
 
 def test_resolve_backend_normalizes_case_and_caches():
@@ -316,13 +313,6 @@ def test_resolve_backend_normalizes_case_and_caches():
 def test_resolve_backend_passes_instances_through():
     mine = VectorBackend()
     assert resolve_backend(mine) is mine
-
-
-def test_auto_honors_env_override(monkeypatch):
-    monkeypatch.setenv("REPRO_KERNELS", "vector")
-    monkeypatch.setattr(kernels_pkg, "_BACKENDS", {})
-    monkeypatch.setattr(kernels_pkg, "_WARNED", set())
-    assert resolve_backend("auto").name == "vector"
 
 
 def test_unknown_backend_name_rejected():

@@ -28,7 +28,7 @@ GOLDEN = {
 def test_default_scenario_is_bit_identical(protocol, kernels):
     """Every kernel backend must land on the same goldens: ``python`` is
     the explicit-loop reference, ``auto`` is the best backend available
-    on this machine (vector, cjit or numba) — the pre-kernel numbers
+    on this machine (vector or cjit) — the pre-kernel numbers
     must survive both."""
     scenario = Scenario(protocol=protocol, kernels=kernels)
     result = CavenetSimulation(scenario).run()
